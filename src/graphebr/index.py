@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .errors import ShapeError, ValidationError
 from .gat import encode
 from .graph import GraphStore
-from .sampling import BatchGraph, khop_subgraph
+from .sampling import khop_subgraph, stack_subgraphs
 
 
 @dataclass(frozen=True)
@@ -73,37 +73,11 @@ def export_embeddings(model, graph: GraphStore, k: int, fanout, chunk_size: int 
         for start in range(0, graph.num_nodes, chunk_size):
             ids = range(start, min(start + chunk_size, graph.num_nodes))
             subs = [khop_subgraph(graph, i, k, fanout, rng_seed=i) for i in ids]
-            batch = _disjoint_union(subs)
+            empty = np.zeros((len(subs), 0), dtype=np.int64)
+            batch = stack_subgraphs(subs, [sub.query_locals[0] for sub in subs], empty, empty)
             Z = encode(params, batch)
             rows[list(ids)] = Z.data[batch.query_rows]
     return EmbeddingTable(rows)
-
-
-def _disjoint_union(subs) -> BatchGraph:
-    """Stack per-node contexts for one batched encode; no candidate slots."""
-    feats, edges, gids, hops, exof, qlocals, qrows = [], [], [], [], [], [], []
-    offset = 0
-    for i, sub in enumerate(subs):
-        feats.append(sub.local_features)
-        if sub.local_edges.size:
-            edges.append(sub.local_edges + offset)
-        gids.append(sub.global_ids)
-        hops.append(sub.hop_of)
-        exof.append(np.full(sub.num_nodes, i, dtype=np.int64))
-        qlocals.append(sub.query_locals + offset)
-        qrows.append(int(sub.query_locals[0]) + offset)
-        offset += sub.num_nodes
-    return BatchGraph(
-        local_features=np.concatenate(feats),
-        local_edges=np.concatenate(edges) if edges else np.zeros((0, 2), dtype=np.int64),
-        global_ids=np.concatenate(gids),
-        query_locals=np.concatenate(qlocals),
-        hop_of=np.concatenate(hops),
-        example_of=np.concatenate(exof),
-        query_rows=np.asarray(qrows, dtype=np.int64),
-        candidate_rows=np.zeros((len(subs), 0), dtype=np.int64),
-        labels=np.zeros((len(subs), 0)),
-    )
 
 
 def save_table(table: EmbeddingTable, path, binary: bool = False):

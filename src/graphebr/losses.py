@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,13 +48,12 @@ class MaeConfig:
 
 @dataclass(frozen=True)
 class LossReport:
-    """Per-step loss values with their weighted contributions."""
+    """Per-step loss values; `combined` is the weighted sum of the others."""
 
     retrieval: float
     cca: float
     mae: float
     combined: float
-    weighted: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -175,7 +174,7 @@ def combined_loss(retrieval, cca, mae, weights: LossWeights) -> Tensor:
     return total
 
 
-def make_report(retrieval, cca, mae, weights: LossWeights, combined) -> LossReport:
+def make_report(retrieval, cca, mae, combined) -> LossReport:
     """Collect scalar loss values; disabled terms are reported as 0."""
 
     def val(t):
@@ -186,9 +185,4 @@ def make_report(retrieval, cca, mae, weights: LossWeights, combined) -> LossRepo
         cca=val(cca),
         mae=val(mae),
         combined=float(combined.item()),
-        weighted={
-            "retrieval": weights.alpha * val(retrieval),
-            "cca": weights.beta * val(cca),
-            "mae": weights.gamma * val(mae),
-        },
     )

@@ -3,7 +3,7 @@ stochastic augmentations used by the auxiliary training objectives."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -123,7 +123,10 @@ def khop_subgraph(graph: GraphStore, query: int, k: int, fanout, rng_seed) -> Su
 
     Per hop, each frontier node contributes at most `fanout` of its
     neighbors, drawn uniformly without replacement; `fanout=None` keeps all
-    of them, which reproduces the exact breadth-first k-hop closure.
+    of them, which reproduces the exact breadth-first k-hop closure. Nodes
+    come in first-visit order and edges in ascending (min, max) global-id
+    order; `_expand` documents the draw order, which the reference oracle
+    in tests/test_sampling.py (TestReferenceOracle) pins bitwise.
     """
     query = int(query)
     if not 0 <= query < graph.num_nodes:
@@ -132,46 +135,79 @@ def khop_subgraph(graph: GraphStore, query: int, k: int, fanout, rng_seed) -> Su
         raise ValidationError("khop: k must be at least 1")
     if fanout is not None and fanout < 1:
         raise ValidationError("khop: fanout must be at least 1")
-    rng = np.random.default_rng(rng_seed)
-
-    hop = {query: 0}
-    order = [query]
-    pairs = []
-    frontier = [query]
-    for h in range(1, k + 1):
-        nxt = []
-        for u in frontier:
-            nbrs = graph.neighbors(u)
-            if fanout is not None and len(nbrs) > fanout:
-                nbrs = rng.choice(nbrs, size=fanout, replace=False)
-            for v in nbrs:
-                v = int(v)
-                pairs.append((min(u, v), max(u, v)))
-                if v not in hop:
-                    hop[v] = h
-                    order.append(v)
-                    nxt.append(v)
-        frontier = nxt
-
-    global_ids = np.asarray(order, dtype=np.int64)
-    local_of = {g: i for i, g in enumerate(order)}
-    if pairs:
-        uniq = np.unique(np.asarray(pairs, dtype=np.int64), axis=0)
-        la = np.array([local_of[int(g)] for g in uniq[:, 0]], dtype=np.int64)
-        lb = np.array([local_of[int(g)] for g in uniq[:, 1]], dtype=np.int64)
-        local_edges = np.column_stack(
-            [np.concatenate([la, lb]), np.concatenate([lb, la])]
-        )
-    else:
-        local_edges = np.zeros((0, 2), dtype=np.int64)
-
+    ids, hops, src, dst = _expand(graph, query, k, fanout, rng_seed)
+    n = graph.num_nodes
     return Subgraph(
-        local_features=graph.features[global_ids],
-        local_edges=local_edges,
-        global_ids=global_ids,
+        local_features=graph.features[ids],
+        local_edges=_local_edges(ids, _edge_keys(src, dst, n), n),
+        global_ids=ids,
         query_locals=np.array([0], dtype=np.int64),
-        hop_of=np.array([hop[g] for g in order], dtype=np.int64),
+        hop_of=hops,
     )
+
+
+def _expand(graph: GraphStore, query: int, k: int, fanout, rng_seed):
+    """Raw k-hop expansion: (ids, hops, src, dst) as global-id arrays.
+
+    `ids` lists nodes in first-visit order with their hop distances in
+    `hops`; `src`/`dst` hold every sampled edge, repeats included. Hops are
+    expanded frontier node by frontier node in visit order, and each node
+    whose degree exceeds `fanout` takes exactly one `rng.choice` draw, so
+    the draw stream and every output equal those of the plain breadth-first
+    loop that tests/test_sampling.py (TestReferenceOracle) keeps as its
+    bitwise reference.
+    """
+    rng = np.random.default_rng(rng_seed)
+    ids = frontier = np.array([query], dtype=np.int64)
+    sizes, srcs, dsts = [1], [], []
+    for _ in range(k):
+        if not len(frontier):
+            break
+        parts = [graph.neighbors(u) for u in frontier]
+        if fanout is not None:
+            parts = [
+                rng.choice(nbrs, size=fanout, replace=False) if len(nbrs) > fanout else nbrs
+                for nbrs in parts
+            ]
+        dst = np.concatenate(parts)
+        srcs.append(np.repeat(frontier, [len(nbrs) for nbrs in parts]))
+        dsts.append(dst)
+        # Seen ids are distinct and come first, so they keep their places and
+        # the ids after them are this hop's new nodes in first-visit order.
+        seen = len(ids)
+        ids = np.concatenate([ids, dst])
+        ids = ids[_first_occurrences(ids)]
+        frontier = ids[seen:]
+        sizes.append(len(frontier))
+    hops = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    return ids, hops, np.concatenate(srcs), np.concatenate(dsts)
+
+
+def _first_occurrences(a: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct value."""
+    return np.sort(np.unique(a, return_index=True)[1])
+
+
+def _edge_keys(u, v, n: int) -> np.ndarray:
+    """Undirected edges as one int64 key min*n + max, which sorts like the
+    (min, max) pair."""
+    return np.minimum(u, v) * n + np.maximum(u, v)
+
+
+def _positions(ids: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Index in `ids` (distinct, unsorted) of each entry of `values`."""
+    sorter = np.argsort(ids)
+    return sorter[np.searchsorted(ids, values, sorter=sorter)]
+
+
+def _both_directions(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    return np.column_stack([np.concatenate([lo, hi]), np.concatenate([hi, lo])])
+
+
+def _local_edges(ids: np.ndarray, keys: np.ndarray, n: int) -> np.ndarray:
+    """Both directions of every distinct edge key, relabelled to positions in ids."""
+    keys = np.unique(keys)
+    return _both_directions(*_positions(ids, np.stack([keys // n, keys % n])))
 
 
 def whole_graph_subgraph(graph: GraphStore) -> Subgraph:
@@ -209,9 +245,19 @@ def sample_retrieval_example(
 ) -> RetrievalExample:
     """Build one training example: a positive neighbor, uniform non-neighbor
     negatives, and a merged subgraph giving every candidate its own k-hop
-    context, with the positive edge withheld from the edge set."""
+    context, with the positive edge withheld from the edge set.
+
+    The merged subgraph unions the query's context and then each
+    candidate's, in that order: nodes keep their first-visit order and hop,
+    edges are distinct and ascending. Negatives are drawn as ranks among
+    the non-neighbors, which consumes the same draws as choosing from the
+    sorted complement. Every draw therefore matches the per-context
+    dict-based union that tests/test_sampling.py (TestReferenceOracle)
+    keeps as its bitwise reference.
+    """
     query = int(query)
-    if not 0 <= query < graph.num_nodes:
+    n = graph.num_nodes
+    if not 0 <= query < n:
         raise ValidationError(f"retrieval example: query id {query} out of range")
     if num_negatives < 0:
         raise ValidationError("retrieval example: num_negatives must be >= 0")
@@ -225,72 +271,43 @@ def sample_retrieval_example(
         seeds = np.random.SeedSequence(rng_seed).spawn(3)
     rng = np.random.default_rng(seeds[0])
     positive = int(rng.choice(nbrs))
-    complement = np.setdiff1d(
-        np.arange(graph.num_nodes), np.append(nbrs, query), assume_unique=False
-    )
-    if len(complement) < num_negatives:
+    excluded = np.unique(np.append(nbrs, query))
+    available = n - len(excluded)
+    if available < num_negatives:
         raise ValidationError(
-            f"retrieval example: only {len(complement)} non-neighbors available"
+            f"retrieval example: only {available} non-neighbors available"
         )
-    negatives = (
-        rng.choice(complement, size=num_negatives, replace=False)
+    ranks = (
+        rng.choice(available, size=num_negatives, replace=False)
         if num_negatives
         else np.zeros(0, dtype=np.int64)
     )
+    # The r-th non-neighbor skips every excluded id e_j with e_j - j <= r.
+    negatives = ranks + np.searchsorted(excluded - np.arange(len(excluded)), ranks, side="right")
     candidates = np.concatenate([[positive], negatives]).astype(np.int64)
 
     context_seeds = seeds[1].spawn(1 + len(candidates))
-    contexts = [khop_subgraph(graph, query, k, fanout, context_seeds[0])]
-    for i, cand in enumerate(candidates):
-        contexts.append(khop_subgraph(graph, int(cand), k, fanout, context_seeds[1 + i]))
-
-    merged = _union_contexts(graph, contexts, withheld=(query, positive))
-    local_of = {int(g): i for i, g in enumerate(merged.global_ids)}
+    roots = np.concatenate([[query], candidates])
+    contexts = [_expand(graph, int(r), k, fanout, s) for r, s in zip(roots, context_seeds)]
+    ids, hops, src, dst = (np.concatenate(parts) for parts in zip(*contexts))
+    first = _first_occurrences(ids)
+    ids, hops = ids[first], hops[first]
+    keys = _edge_keys(src, dst, n)
+    keys = keys[keys != _edge_keys(query, positive, n)]
+    merged = Subgraph(
+        local_features=graph.features[ids],
+        local_edges=_local_edges(ids, keys, n),
+        global_ids=ids,
+        query_locals=np.array([0], dtype=np.int64),
+        hop_of=hops,
+    )
     labels = np.zeros(len(candidates))
     labels[0] = 1.0
     return RetrievalExample(
         subgraph=merged,
-        query_local=local_of[query],
-        candidate_locals=np.array([local_of[int(c)] for c in candidates]),
+        query_local=0,
+        candidate_locals=_positions(ids, candidates),
         labels=labels,
-    )
-
-
-def _union_contexts(graph, contexts, withheld) -> Subgraph:
-    """Union sampled contexts by global id, dropping the withheld edge."""
-    order = []
-    hop = {}
-    for sub in contexts:
-        for g, h in zip(sub.global_ids, sub.hop_of):
-            g = int(g)
-            if g not in hop:
-                hop[g] = int(h)
-                order.append(g)
-    local_of = {g: i for i, g in enumerate(order)}
-    gpairs = []
-    for sub in contexts:
-        if sub.local_edges.size:
-            ge = sub.global_ids[sub.local_edges]
-            gpairs.append(np.sort(ge, axis=1))
-    if gpairs:
-        pairs = np.unique(np.concatenate(gpairs), axis=0)
-        banned = (min(withheld), max(withheld))
-        keep = ~((pairs[:, 0] == banned[0]) & (pairs[:, 1] == banned[1]))
-        pairs = pairs[keep]
-        la = np.array([local_of[int(g)] for g in pairs[:, 0]], dtype=np.int64)
-        lb = np.array([local_of[int(g)] for g in pairs[:, 1]], dtype=np.int64)
-        local_edges = np.column_stack(
-            [np.concatenate([la, lb]), np.concatenate([lb, la])]
-        )
-    else:
-        local_edges = np.zeros((0, 2), dtype=np.int64)
-    global_ids = np.asarray(order, dtype=np.int64)
-    return Subgraph(
-        local_features=graph.features[global_ids],
-        local_edges=local_edges,
-        global_ids=global_ids,
-        query_locals=np.array([0], dtype=np.int64),
-        hop_of=np.array([hop[g] for g in order], dtype=np.int64),
     )
 
 
@@ -301,10 +318,11 @@ def augment_edge_drop(sub, p: float, rng_seed):
     if p == 0.0 or sub.local_edges.size == 0:
         return sub
     rng = np.random.default_rng(rng_seed)
-    pairs = np.unique(np.sort(sub.local_edges, axis=1), axis=0)
-    kept = pairs[rng.random(len(pairs)) >= p]
-    edges = np.concatenate([kept, kept[:, ::-1]]) if kept.size else np.zeros((0, 2), dtype=np.int64)
-    return replace(sub, local_edges=edges)
+    edges = sub.local_edges
+    n = int(edges.max()) + 1
+    keys = np.unique(_edge_keys(edges[:, 0], edges[:, 1], n))
+    kept = keys[rng.random(len(keys)) >= p]
+    return replace(sub, local_edges=_both_directions(kept // n, kept % n))
 
 
 def augment_feature_drop(sub, p: float, rng_seed):
@@ -335,31 +353,30 @@ def merge_examples(examples) -> BatchGraph:
     widths = {len(ex.candidate_locals) for ex in examples}
     if len(widths) != 1:
         raise ValidationError("merge: examples disagree on candidate count")
-    feats, edges, gids, hops, exof, qlocals = [], [], [], [], [], []
-    qrows, crows, labels = [], [], []
-    offset = 0
-    for i, ex in enumerate(examples):
-        sub = ex.subgraph
-        m = sub.num_nodes
-        feats.append(sub.local_features)
-        if sub.local_edges.size:
-            edges.append(sub.local_edges + offset)
-        gids.append(sub.global_ids)
-        hops.append(sub.hop_of)
-        exof.append(np.full(m, i, dtype=np.int64))
-        qlocals.append(sub.query_locals + offset)
-        qrows.append(ex.query_local + offset)
-        crows.append(ex.candidate_locals + offset)
-        labels.append(ex.labels)
-        offset += m
+    return stack_subgraphs(
+        [ex.subgraph for ex in examples],
+        query_rows=[ex.query_local for ex in examples],
+        candidate_rows=np.vstack([ex.candidate_locals for ex in examples]),
+        labels=np.vstack([ex.labels for ex in examples]),
+    )
+
+
+def stack_subgraphs(subs, query_rows, candidate_rows, labels) -> BatchGraph:
+    """Stack subgraphs into one BatchGraph without deduplicating nodes.
+
+    `query_rows` (one per subgraph) and `candidate_rows` (one row per
+    subgraph) are local ids, shifted here by each subgraph's row offset.
+    """
+    sizes = [sub.num_nodes for sub in subs]
+    offsets = np.cumsum([0] + sizes[:-1])
     return BatchGraph(
-        local_features=np.concatenate(feats),
-        local_edges=np.concatenate(edges) if edges else np.zeros((0, 2), dtype=np.int64),
-        global_ids=np.concatenate(gids),
-        query_locals=np.concatenate(qlocals),
-        hop_of=np.concatenate(hops),
-        example_of=np.concatenate(exof),
-        query_rows=np.asarray(qrows, dtype=np.int64),
-        candidate_rows=np.vstack(crows),
-        labels=np.vstack(labels),
+        local_features=np.concatenate([sub.local_features for sub in subs]),
+        local_edges=np.concatenate([sub.local_edges + o for sub, o in zip(subs, offsets)]),
+        global_ids=np.concatenate([sub.global_ids for sub in subs]),
+        query_locals=np.concatenate([sub.query_locals + o for sub, o in zip(subs, offsets)]),
+        hop_of=np.concatenate([sub.hop_of for sub in subs]),
+        example_of=np.repeat(np.arange(len(subs), dtype=np.int64), sizes),
+        query_rows=np.asarray(query_rows, dtype=np.int64) + offsets,
+        candidate_rows=np.asarray(candidate_rows, dtype=np.int64) + offsets[:, None],
+        labels=np.asarray(labels, dtype=np.float64),
     )

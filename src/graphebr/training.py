@@ -277,7 +277,7 @@ def step_gradients(graph: GraphStore, params: EncoderParams, cfg: TrainConfig, s
         g = by_tensor.get(p)
         if g is not None:
             grads[name] = g
-    return grads, make_report(retrieval, cca, mae, cfg.weights, combined)
+    return grads, make_report(retrieval, cca, mae, combined)
 
 
 def train_step(graph: GraphStore, params: EncoderParams, opt: OptimizerState, cfg: TrainConfig, step_index: int):

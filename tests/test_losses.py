@@ -274,7 +274,7 @@ class TestCombinedLoss:
         w = LossWeights(alpha=1.0, beta=1e-3, gamma=2e-3)
         r, c, m = Tensor([[2.0]]), Tensor([[3.0]]), Tensor([[0.5]])
         combined = combined_loss(r, c, m, w)
-        report = make_report(r, c, m, w, combined)
+        report = make_report(r, c, m, combined)
         recomputed = w.alpha * report.retrieval + w.beta * report.cca + w.gamma * report.mae
         assert abs(report.combined - recomputed) < 1e-12
 

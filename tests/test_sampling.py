@@ -284,3 +284,130 @@ class TestSubgraphValidation:
                 query_locals=np.array([1]),
                 hop_of=np.array([0, 1]),
             )
+
+
+def oracle_khop(graph, query, k, fanout, rng_seed):
+    """Reference breadth-first loop: (ids, hops, undirected global pairs)."""
+    rng = np.random.default_rng(rng_seed)
+    hop = {query: 0}
+    order = [query]
+    pairs = []
+    frontier = [query]
+    for h in range(1, k + 1):
+        nxt = []
+        for u in frontier:
+            nbrs = graph.neighbors(u)
+            if fanout is not None and len(nbrs) > fanout:
+                nbrs = rng.choice(nbrs, size=fanout, replace=False)
+            for v in nbrs:
+                v = int(v)
+                pairs.append((min(u, v), max(u, v)))
+                if v not in hop:
+                    hop[v] = h
+                    order.append(v)
+                    nxt.append(v)
+        frontier = nxt
+    return order, [hop[g] for g in order], pairs
+
+
+def oracle_local_edges(order, pairs):
+    local_of = {g: i for i, g in enumerate(order)}
+    uniq = sorted(set(pairs))
+    la = [local_of[a] for a, _ in uniq]
+    lb = [local_of[b] for _, b in uniq]
+    return np.array(list(zip(la + lb, lb + la)), dtype=np.int64).reshape(-1, 2)
+
+
+def oracle_example(graph, query, num_negatives, k, fanout, rng_seed):
+    """Reference example: setdiff1d negatives and a dict-based union of the
+    per-root contexts. Returns (ids, hops, local edges, candidate locals)."""
+    nbrs = graph.neighbors(query)
+    seeds = np.random.SeedSequence(rng_seed).spawn(3)
+    rng = np.random.default_rng(seeds[0])
+    positive = int(rng.choice(nbrs))
+    complement = np.setdiff1d(np.arange(graph.num_nodes), np.append(nbrs, query))
+    negatives = rng.choice(complement, size=num_negatives, replace=False) if num_negatives else []
+    candidates = [positive] + [int(c) for c in negatives]
+    context_seeds = seeds[1].spawn(1 + len(candidates))
+    hop, order, pairs = {}, [], set()
+    for root, seed in zip([query] + candidates, context_seeds):
+        ids, hops, root_pairs = oracle_khop(graph, root, k, fanout, seed)
+        for g, h in zip(ids, hops):
+            if g not in hop:
+                hop[g] = h
+                order.append(g)
+        pairs.update(root_pairs)
+    pairs.discard((min(query, positive), max(query, positive)))
+    local_of = {g: i for i, g in enumerate(order)}
+    return (
+        order, [hop[g] for g in order], oracle_local_edges(order, pairs),
+        [local_of[c] for c in candidates],
+    )
+
+
+def oracle_edge_drop(local_edges, p, rng_seed):
+    rng = np.random.default_rng(rng_seed)
+    pairs = sorted({(min(a, b), max(a, b)) for a, b in local_edges.tolist()})
+    kept = [pair for pair, draw in zip(pairs, rng.random(len(pairs))) if draw >= p]
+    return np.array(kept + [(b, a) for a, b in kept], dtype=np.int64).reshape(-1, 2)
+
+
+def assert_bitwise(actual, expected):
+    np.testing.assert_array_equal(actual, np.asarray(expected, dtype=np.int64), strict=True)
+
+
+class TestReferenceOracle:
+    """The array-based sampler must reproduce the plain loops above draw for
+    draw: same nodes, hops, edges, negatives and edge-drop survivors."""
+
+    def check(self, graph, query, k, fanout, num_negatives, seed):
+        sub = khop_subgraph(graph, query, k, fanout, rng_seed=seed)
+        ids, hops, pairs = oracle_khop(graph, query, k, fanout, seed)
+        assert_bitwise(sub.global_ids, ids)
+        assert_bitwise(sub.hop_of, hops)
+        assert_bitwise(sub.local_edges, oracle_local_edges(ids, pairs))
+        np.testing.assert_array_equal(sub.local_features, graph.features[ids])
+        if graph.degrees[query] == 0:
+            return
+        ex = sample_retrieval_example(graph, query, num_negatives, k, fanout, rng_seed=seed)
+        ids, hops, edges, cand_locals = oracle_example(graph, query, num_negatives, k, fanout, seed)
+        merged = ex.subgraph
+        assert_bitwise(merged.global_ids, ids)
+        assert_bitwise(merged.hop_of, hops)
+        assert_bitwise(merged.local_edges, edges)
+        assert_bitwise(ex.candidate_locals, cand_locals)
+        np.testing.assert_array_equal(merged.local_features, graph.features[ids])
+        assert ex.query_local == 0 and merged.global_ids[0] == query
+        if merged.local_edges.size:
+            dropped = augment_edge_drop(merged, 0.3, rng_seed=seed)
+            assert_bitwise(dropped.local_edges, oracle_edge_drop(merged.local_edges, 0.3, seed))
+
+    def test_path_graph(self):
+        g = path_graph(6)
+        for query in range(6):
+            for k in (1, 2, 3):
+                self.check(g, query, k, None, 2, seed=query + 10 * k)
+
+    def test_star_with_fanout_cap(self):
+        g = GraphStore(np.eye(11), [(0, i) for i in range(1, 11)])
+        for seed in range(5):
+            self.check(g, 0, 2, 3, 0, seed)
+            self.check(g, 1 + seed, 2, 3, 4, seed)
+
+    def test_clique_plus_isolated_node_has_one_negative(self):
+        clique = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        g = GraphStore(np.eye(5), clique)
+        for query in range(5):
+            self.check(g, query, 2, None, 1, seed=query)
+
+    def test_negatives_exhaust_the_non_neighbors(self):
+        g = generate_synthetic_graph(30, 2, 0.3, 0.05, 4, 0.0, rng_seed=8)
+        for query in np.flatnonzero(g.degrees > 0)[:10]:
+            available = g.num_nodes - 1 - int(g.degrees[query])
+            self.check(g, int(query), 2, 3, available, seed=int(query))
+
+    @pytest.mark.parametrize("fanout", [4, None])
+    def test_sbm_over_many_seeds(self, fanout):
+        g = generate_synthetic_graph(80, 2, 0.15, 0.03, 4, 0.1, rng_seed=3)
+        for seed in range(60):
+            self.check(g, seed % g.num_nodes, 2, fanout, 5, seed)
