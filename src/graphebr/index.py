@@ -31,7 +31,7 @@ class EmbeddingTable:
         v = np.asarray(self.vectors, dtype=np.float64)
         if v.ndim != 2 or v.shape[1] < 1:
             raise ShapeError(f"embedding table: expected 2-D matrix, got {v.shape}")
-        if not np.isfinite(v.sum()) or not np.isfinite(v).all():
+        if not np.isfinite(v).all():
             raise ValidationError("embedding table: non-finite rows")
         object.__setattr__(self, "vectors", v)
 
@@ -127,7 +127,12 @@ def _as_query(table_dim: int, query_vec) -> np.ndarray:
 
 
 def exact_topk(table: EmbeddingTable, query_vec, k: int, exclude=()) -> TopkResult:
-    """Full-scan top-k by dot product, ties broken by ascending node id."""
+    """Full-scan top-k by dot product, ties broken by ascending node id.
+
+    Every row is scored, so a candidate's score does not depend on the
+    exclusion set; only the kept rows scoring at least the k-th best are
+    sorted.
+    """
     if k < 1:
         raise ValidationError("topk: k must be >= 1")
     q = _as_query(table.dim, query_vec)
@@ -137,10 +142,15 @@ def exact_topk(table: EmbeddingTable, query_vec, k: int, exclude=()) -> TopkResu
         if excluded.min() < 0 or excluded.max() >= table.num_nodes:
             raise ValidationError("topk: excluded id out of range")
         keep[excluded] = False
+    scores = table.vectors @ q
     ids = np.flatnonzero(keep)
-    scores = table.vectors[ids] @ q
-    order = np.lexsort((ids, -scores))[:k]
-    return TopkResult(ids=ids[order], scores=scores[order], truncated=k > len(ids))
+    truncated = k > len(ids)
+    if k < len(ids):
+        neg = -scores[ids]
+        # `not >` also keeps NaN scores, which partition and lexsort both put last
+        ids = ids[~(neg > np.partition(neg, k - 1)[k - 1])]
+    ids = ids[np.lexsort((ids, -scores[ids]))[:k]]
+    return TopkResult(ids=ids, scores=scores[ids], truncated=truncated)
 
 
 @dataclass

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from graphebr import evaluation
 from graphebr.errors import ShapeError, ValidationError
 from graphebr.evaluation import (
     CohortMetrics,
@@ -19,7 +20,7 @@ from graphebr.evaluation import (
     split_edges,
 )
 from graphebr.graph import GraphStore, generate_synthetic_graph
-from graphebr.index import EmbeddingTable
+from graphebr.index import EmbeddingTable, exact_topk
 from graphebr.training import TrainConfig, train
 
 
@@ -206,6 +207,43 @@ class TestEvaluateTable:
         a = report_to_json(evaluate_table(table, train_g, heldout))
         b = report_to_json(evaluate_table(table, train_g, heldout))
         assert a == b
+
+    def test_small_blocks_match_naive_scan_with_ties(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        g = generate_synthetic_graph(40, 2, 0.25, 0.05, 4, 0.0, rng_seed=6)
+        train_g, heldout = split_edges(g, 0.2, rng_seed=6)
+        settings = EvalSettings(k_values=(1, 3, 10), cold_start_threshold=3, mrr_cap=8)
+        for rows in (1, 2, 3):
+            # each block holds `rows` queries
+            monkeypatch.setattr(evaluation, "_SCAN_ENTRIES", rows * 40)
+            for _ in range(5):
+                # half-integer entries force plenty of tied dot products
+                table = EmbeddingTable(rng.integers(-2, 3, size=(40, 3)) * 0.5)
+                report = evaluate_table(table, train_g, heldout, settings)
+                ranks, cold = naive_report_parts(table, train_g, heldout, settings)
+                cold_ranks = [r for r, c in zip(ranks, cold) if c]
+                for name, want in (("all", ranks), ("cold_start", cold_ranks)):
+                    cohort = report.cohorts[name]
+                    assert cohort.num_queries == len(want)
+                    assert (cohort.recall, cohort.mrr) == naive_metrics(want, settings)
+
+    def test_training_edge_in_a_later_block_rejected(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_SCAN_ENTRIES", 1)
+        g = cycle_graph(8)
+        table = EmbeddingTable(np.random.default_rng(0).normal(size=(8, 3)))
+        pairs = [(0, 2), (1, 3), (2, 4), (4, 5), (6, 7)]
+        with pytest.raises(ValidationError, match=r"\(4, 5\) is still a training edge"):
+            evaluate_table(table, g, pairs)
+
+    def test_excluded_nodes_never_count_when_scores_overflow(self):
+        # u=0 scores -inf against every other node, v=2 included
+        g = GraphStore(np.zeros((4, 1)), [(0, 1)])
+        table = EmbeddingTable(np.array([[1e200], [-1e200], [-1e200], [-1e200]]))
+        with np.errstate(over="ignore"):
+            top = exact_topk(table, table.vectors[0], k=3, exclude={0, 1})
+            report = evaluate_table(table, g, [(0, 2)], EvalSettings(k_values=(1, 2)))
+        assert top.ids.tolist() == [2, 3]
+        assert report.recall == {1: 1.0, 2: 1.0}
 
 
 class TestEvaluateWrapper:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,17 @@ class TestEmbeddingTable:
         bad[1, 1] = np.nan
         with pytest.raises(ValidationError):
             EmbeddingTable(bad)
+
+    def test_huge_finite_rows_accepted_and_non_finite_rows_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = EmbeddingTable(np.full((2, 1), 1e308))
+        assert table.vectors.tolist() == [[1e308], [1e308]]
+        for bad_value in (np.nan, np.inf, -np.inf):
+            bad = np.ones((3, 2))
+            bad[2, 0] = bad_value
+            with pytest.raises(ValidationError, match="non-finite rows"):
+                EmbeddingTable(bad)
 
     def test_dimensions_exposed(self):
         table = EmbeddingTable(np.zeros((5, 3)))
@@ -163,6 +176,21 @@ class TestExactTopk:
             exclude = set(rng.integers(0, 40, size=5).tolist())
             got = exact_topk(table, q, k=10, exclude=exclude)
             assert got.ids.tolist() == naive_topk(vectors, q, 10, exclude)
+
+    def test_scores_do_not_depend_on_the_exclusion_set(self):
+        rng = np.random.default_rng(4)
+        for n in (37, 101, 1003):
+            for _ in range(20):
+                table = EmbeddingTable(rng.normal(size=(n, 32)))
+                q = rng.normal(size=32)
+                full = exact_topk(table, q, k=n)
+                score_of = dict(zip(full.ids.tolist(), full.scores.tolist()))
+                exclude = set(np.flatnonzero(rng.random(n) < 1 / 3).tolist())
+                for k in (10, n):
+                    got = exact_topk(table, q, k=k, exclude=exclude)
+                    assert not exclude & set(got.ids.tolist())
+                    want = np.array([score_of[i] for i in got.ids.tolist()])
+                    assert got.scores.tobytes() == want.tobytes()
 
     def test_invalid_arguments_rejected(self):
         table = EmbeddingTable(np.ones((3, 2)))
