@@ -211,15 +211,6 @@ def hadamard(a, b) -> Tensor:
     return _apply("hadamard", ad * bd, (a, b), vjp)
 
 
-def concat_cols(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape[0] != b.shape[0]:
-        raise ShapeError(f"concat_cols: {a.shape} vs {b.shape}")
-    wa = a.shape[1]
-    out = np.concatenate([a.data, b.data], axis=1)
-    return _apply("concat_cols", out, (a, b), lambda g: (g[:, :wa], g[:, wa:]))
-
-
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     ad = a.data
@@ -250,38 +241,6 @@ def log(a) -> Tensor:
     if np.any(ad <= 0):
         raise DomainError("log: requires strictly positive input")
     return _apply("log", np.log(ad), (a,), lambda g: (g / ad,))
-
-
-def row_softmax(a) -> Tensor:
-    a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
-
-    def vjp(g):
-        return (s * (g - (g * s).sum(axis=1, keepdims=True)),)
-
-    return _apply("row_softmax", s, (a,), vjp)
-
-
-def masked_row_softmax(a, keep) -> Tensor:
-    """Row softmax over positions where `keep` is True; others get exactly 0."""
-    a = _as_tensor(a)
-    keep = np.asarray(keep, dtype=bool)
-    if keep.shape != a.shape:
-        raise ShapeError(f"masked_row_softmax: {a.shape} vs mask {keep.shape}")
-    ad = a.data
-    rowmax = np.where(keep, ad, -np.inf).max(axis=1, keepdims=True)
-    rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
-    e = np.zeros_like(ad)
-    e[keep] = np.exp((ad - rowmax)[keep])
-    denom = e.sum(axis=1, keepdims=True)
-    s = e / np.where(denom > 0, denom, 1.0)
-
-    def vjp(g):
-        return (s * (g - (g * s).sum(axis=1, keepdims=True)),)
-
-    return _apply("masked_row_softmax", s, (a,), vjp)
 
 
 def l2_normalize_rows(a) -> Tensor:
@@ -514,8 +473,6 @@ def primitive_gradient_suite(seed: int) -> list:
     def reduced(t):
         return mean_scalar(hadamard(t, contract)) if t.shape == (5, 4) else mean_scalar(t)
 
-    keep = rng.random((5, 4)) < 0.6
-    keep[:, 0] = True
     idx = rng.integers(0, 5, size=9)
     plan = ScatterPlan(idx, 5)
     scatter_in = mat(9, 4)
@@ -526,21 +483,10 @@ def primitive_gradient_suite(seed: int) -> list:
         ("scale", lambda a: reduced(scale(a, -1.7)), [mat(5, 4)]),
         ("hadamard", lambda a, b: reduced(hadamard(a, b)), [mat(5, 4), mat(5, 4)]),
         ("hadamard_bcast", lambda a, b: reduced(hadamard(a, b)), [mat(5, 1), mat(5, 4)]),
-        (
-            "concat_cols",
-            lambda a, b: reduced(concat_cols(a, b)),
-            [mat(5, 1), mat(5, 3)],
-        ),
         ("relu", lambda a: reduced(relu(a)), [away_from_zero(5, 4)]),
         ("leaky_relu", lambda a: reduced(leaky_relu(a, 0.2)), [away_from_zero(5, 4)]),
         ("exp", lambda a: reduced(exp(a)), [mat(5, 4)]),
         ("log", lambda a: reduced(log(a)), [mat(5, 4, 0.5, 2.0)]),
-        ("row_softmax", lambda a: reduced(row_softmax(a)), [mat(5, 4)]),
-        (
-            "masked_row_softmax",
-            lambda a: reduced(masked_row_softmax(a, keep)),
-            [mat(5, 4)],
-        ),
         (
             "l2_normalize_rows",
             lambda a: reduced(l2_normalize_rows(a)),

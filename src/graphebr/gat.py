@@ -139,8 +139,6 @@ class _GraphPlan:
 
 def _attention(layer: GATLayerParams, plan: _GraphPlan, h: Tensor):
     """Per-edge softmax-normalized coefficients and the projected features."""
-    if h.shape[0] != plan.num_nodes:
-        raise ShapeError(f"attention: {h.shape} vs {plan.num_nodes} nodes")
     Wh = ad.matmul(h, layer.W)
     attend = ad.matmul(Wh, layer.att_src)
     neighbor = ad.matmul(Wh, layer.att_dst)
@@ -164,50 +162,6 @@ def _layer_forward(layer, plan, h, final: bool) -> Tensor:
     messages = ad.hadamard(alpha, ad.gather_rows(Wh, plan.src, plan.src_plan))
     agg = ad.scatter_add_rows(messages, plan.dst, plan.num_nodes, plan.dst_plan)
     return agg if final else ad.relu(agg)
-
-
-def gat_attention(layer: GATLayerParams, h, edges):
-    """Attention coefficients for the given edges plus one self-loop per node.
-
-    Returns (edges_with_loops, alpha) aligned row for row, in the caller's
-    edge order with the self-loops appended at the end.
-    """
-    h = h if isinstance(h, Tensor) else Tensor(h)
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    m = h.shape[0]
-    if edges.size and (edges.min() < 0 or edges.max() >= m):
-        raise ValidationError("attention: edge endpoint out of range")
-    plan = _GraphPlan(_RawGraph(h.shape, edges, m))
-    alpha, _ = _attention(layer, plan, h)
-    # undo the internal (dst, src) sort to line up with the input rows
-    loops = np.arange(m, dtype=np.int64)
-    full = np.column_stack(
-        [np.concatenate([edges[:, 0], loops]), np.concatenate([edges[:, 1], loops])]
-    )
-    perm = np.lexsort((full[:, 0], full[:, 1]))
-    unsort = np.empty(len(perm), dtype=np.int64)
-    unsort[perm] = np.arange(len(perm))
-    return full, ad.gather_rows(alpha, unsort)
-
-
-class _RawGraph:
-    """Adapter letting plan construction run on bare edge arrays."""
-
-    def __init__(self, shape, edges, m):
-        self.local_edges = edges
-        self.num_nodes = m
-
-    def canonical_order(self):
-        return np.arange(self.num_nodes, dtype=np.int64)
-
-
-def gat_layer_forward(layer: GATLayerParams, sub, h, final: bool = False) -> Tensor:
-    """One attention layer over a subgraph; ReLU unless it is the final layer."""
-    h = h if isinstance(h, Tensor) else Tensor(h)
-    plan = _GraphPlan(sub)
-    hc = ad.gather_rows(h, plan.order)
-    out = _layer_forward(layer, plan, hc, final)
-    return ad.gather_rows(out, plan.inv, plan.unsort_plan)
 
 
 def encode(params: EncoderParams, sub) -> Tensor:

@@ -16,25 +16,21 @@ class Subgraph:
     """A sampled neighborhood with local node re-indexing.
 
     `local_edges` materializes both directions of every undirected edge.
-    `hop_of[i]` is the hop distance of local node i from the root whose
-    context brought it in; roots used as retrieval or masking targets are
-    listed in `query_locals`.
+    Roots used as retrieval or masking targets are listed in `query_locals`.
     """
 
     local_features: np.ndarray
     local_edges: np.ndarray
     global_ids: np.ndarray
     query_locals: np.ndarray
-    hop_of: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "local_features", np.asarray(self.local_features, dtype=np.float64))
         object.__setattr__(self, "local_edges", np.asarray(self.local_edges, dtype=np.int64).reshape(-1, 2))
         object.__setattr__(self, "global_ids", np.asarray(self.global_ids, dtype=np.int64))
         object.__setattr__(self, "query_locals", np.asarray(self.query_locals, dtype=np.int64))
-        object.__setattr__(self, "hop_of", np.asarray(self.hop_of, dtype=np.int64))
         m = len(self.global_ids)
-        if self.local_features.shape[0] != m or len(self.hop_of) != m:
+        if self.local_features.shape[0] != m:
             raise ValidationError("subgraph: per-node arrays disagree on node count")
         if len(np.unique(self.global_ids)) != m:
             raise ValidationError("subgraph: global_ids must be injective")
@@ -42,8 +38,10 @@ class Subgraph:
             self.local_edges.min() < 0 or self.local_edges.max() >= m
         ):
             raise ValidationError("subgraph: edge endpoint out of range")
-        if np.any(self.hop_of[self.query_locals] != 0):
-            raise ValidationError("subgraph: query nodes must sit at hop 0")
+        if self.query_locals.size and (
+            self.query_locals.min() < 0 or self.query_locals.max() >= m
+        ):
+            raise ValidationError("subgraph: query node out of range")
 
     @property
     def num_nodes(self) -> int:
@@ -67,7 +65,6 @@ class BatchGraph:
     local_edges: np.ndarray
     global_ids: np.ndarray
     query_locals: np.ndarray
-    hop_of: np.ndarray
     example_of: np.ndarray
     query_rows: np.ndarray
     candidate_rows: np.ndarray
@@ -107,7 +104,6 @@ class AugmentationConfig:
     edge_drop_prob: float = 0.2
     feature_drop_prob: float = 0.2
     mask_value: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("edge_drop_prob", "feature_drop_prob"):
@@ -135,31 +131,29 @@ def khop_subgraph(graph: GraphStore, query: int, k: int, fanout, rng_seed) -> Su
         raise ValidationError("khop: k must be at least 1")
     if fanout is not None and fanout < 1:
         raise ValidationError("khop: fanout must be at least 1")
-    ids, hops, src, dst = _expand(graph, query, k, fanout, rng_seed)
+    ids, src, dst = _expand(graph, query, k, fanout, rng_seed)
     n = graph.num_nodes
     return Subgraph(
         local_features=graph.features[ids],
         local_edges=_local_edges(ids, _edge_keys(src, dst, n), n),
         global_ids=ids,
         query_locals=np.array([0], dtype=np.int64),
-        hop_of=hops,
     )
 
 
 def _expand(graph: GraphStore, query: int, k: int, fanout, rng_seed):
-    """Raw k-hop expansion: (ids, hops, src, dst) as global-id arrays.
+    """Raw k-hop expansion: (ids, src, dst) as global-id arrays.
 
-    `ids` lists nodes in first-visit order with their hop distances in
-    `hops`; `src`/`dst` hold every sampled edge, repeats included. Hops are
-    expanded frontier node by frontier node in visit order, and each node
-    whose degree exceeds `fanout` takes exactly one `rng.choice` draw, so
-    the draw stream and every output equal those of the plain breadth-first
-    loop that tests/test_sampling.py (TestReferenceOracle) keeps as its
-    bitwise reference.
+    `ids` lists nodes in first-visit order; `src`/`dst` hold every sampled
+    edge, repeats included. Hops are expanded frontier node by frontier
+    node in visit order, and each node whose degree exceeds `fanout` takes
+    exactly one `rng.choice` draw, so the draw stream and every output
+    equal those of the plain breadth-first loop that tests/test_sampling.py
+    (TestReferenceOracle) keeps as its bitwise reference.
     """
     rng = np.random.default_rng(rng_seed)
     ids = frontier = np.array([query], dtype=np.int64)
-    sizes, srcs, dsts = [1], [], []
+    srcs, dsts = [], []
     for _ in range(k):
         if not len(frontier):
             break
@@ -178,9 +172,7 @@ def _expand(graph: GraphStore, query: int, k: int, fanout, rng_seed):
         ids = np.concatenate([ids, dst])
         ids = ids[_first_occurrences(ids)]
         frontier = ids[seen:]
-        sizes.append(len(frontier))
-    hops = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-    return ids, hops, np.concatenate(srcs), np.concatenate(dsts)
+    return ids, np.concatenate(srcs), np.concatenate(dsts)
 
 
 def _first_occurrences(a: np.ndarray) -> np.ndarray:
@@ -213,9 +205,9 @@ def _local_edges(ids: np.ndarray, keys: np.ndarray, n: int) -> np.ndarray:
 def whole_graph_subgraph(graph: GraphStore) -> Subgraph:
     """Wrap the entire graph as one subgraph with identity local ids.
 
-    Every node sits at hop 0 and counts as a query, which makes the full
-    graph usable wherever a sampled context is expected, e.g. whole-graph
-    encoding or augmentation studies.
+    Every node counts as a query, which makes the full graph usable
+    wherever a sampled context is expected, e.g. whole-graph encoding or
+    augmentation studies.
     """
     n = graph.num_nodes
     if n == 0:
@@ -231,7 +223,6 @@ def whole_graph_subgraph(graph: GraphStore) -> Subgraph:
         local_edges=local_edges,
         global_ids=ids,
         query_locals=ids,
-        hop_of=np.zeros(n, dtype=np.int64),
     )
 
 
@@ -248,9 +239,9 @@ def sample_retrieval_example(
     context, with the positive edge withheld from the edge set.
 
     The merged subgraph unions the query's context and then each
-    candidate's, in that order: nodes keep their first-visit order and hop,
-    edges are distinct and ascending. Negatives are drawn as ranks among
-    the non-neighbors, which consumes the same draws as choosing from the
+    candidate's, in that order: nodes keep their first-visit order, edges
+    are distinct and ascending. Negatives are drawn as ranks among the
+    non-neighbors, which consumes the same draws as choosing from the
     sorted complement. Every draw therefore matches the per-context
     dict-based union that tests/test_sampling.py (TestReferenceOracle)
     keeps as its bitwise reference.
@@ -289,9 +280,8 @@ def sample_retrieval_example(
     context_seeds = seeds[1].spawn(1 + len(candidates))
     roots = np.concatenate([[query], candidates])
     contexts = [_expand(graph, int(r), k, fanout, s) for r, s in zip(roots, context_seeds)]
-    ids, hops, src, dst = (np.concatenate(parts) for parts in zip(*contexts))
-    first = _first_occurrences(ids)
-    ids, hops = ids[first], hops[first]
+    ids, src, dst = (np.concatenate(parts) for parts in zip(*contexts))
+    ids = ids[_first_occurrences(ids)]
     keys = _edge_keys(src, dst, n)
     keys = keys[keys != _edge_keys(query, positive, n)]
     merged = Subgraph(
@@ -299,7 +289,6 @@ def sample_retrieval_example(
         local_edges=_local_edges(ids, keys, n),
         global_ids=ids,
         query_locals=np.array([0], dtype=np.int64),
-        hop_of=hops,
     )
     labels = np.zeros(len(candidates))
     labels[0] = 1.0
@@ -374,7 +363,6 @@ def stack_subgraphs(subs, query_rows, candidate_rows, labels) -> BatchGraph:
         local_edges=np.concatenate([sub.local_edges + o for sub, o in zip(subs, offsets)]),
         global_ids=np.concatenate([sub.global_ids for sub in subs]),
         query_locals=np.concatenate([sub.query_locals + o for sub, o in zip(subs, offsets)]),
-        hop_of=np.concatenate([sub.hop_of for sub in subs]),
         example_of=np.repeat(np.arange(len(subs), dtype=np.int64), sizes),
         query_rows=np.asarray(query_rows, dtype=np.int64) + offsets,
         candidate_rows=np.asarray(candidate_rows, dtype=np.int64) + offsets[:, None],

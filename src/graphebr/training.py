@@ -124,17 +124,23 @@ def config_to_dict(cfg: TrainConfig) -> dict:
 
 def config_from_dict(raw: dict) -> TrainConfig:
     raw = dict(raw)
+    unknown = set(raw) - {f.name for f in fields(TrainConfig)}
+    if unknown:
+        raise ValidationError(f"train config: unknown fields {sorted(unknown)}")
     for key, cls in (
         ("weights", LossWeights),
         ("cca", CcaConfig),
         ("mae", MaeConfig),
         ("augmentation", AugmentationConfig),
     ):
-        if isinstance(raw.get(key), dict):
-            raw[key] = cls(**raw[key])
-    unknown = set(raw) - {f.name for f in fields(TrainConfig)}
-    if unknown:
-        raise ValidationError(f"train config: unknown fields {sorted(unknown)}")
+        if key not in raw:
+            continue
+        if not isinstance(raw[key], dict):
+            raise ValidationError(f"train config: {key} must be an object")
+        unknown = set(raw[key]) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValidationError(f"train config: unknown fields in {key}: {sorted(unknown)}")
+        raw[key] = cls(**raw[key])
     return TrainConfig(**raw)
 
 

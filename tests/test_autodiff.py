@@ -30,22 +30,6 @@ class TestTensor:
 
 
 class TestForwardValues:
-    def test_row_softmax_uniform_logits(self):
-        out = ad.row_softmax(ad.Tensor([[0.0, 0.0]]))
-        np.testing.assert_allclose(out.data, [[0.5, 0.5]])
-
-    def test_row_softmax_rows_sum_to_one(self):
-        rng = np.random.default_rng(0)
-        out = ad.row_softmax(ad.Tensor(rng.normal(size=(40, 7)) * 30))
-        np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_masked_row_softmax_zeroes_masked_positions(self):
-        keep = np.array([[True, False, True], [False, False, False]])
-        out = ad.masked_row_softmax(ad.Tensor([[1.0, 50.0, 1.0], [1.0, 2.0, 3.0]]), keep)
-        assert out.data[0, 1] == 0.0
-        np.testing.assert_allclose(out.data[0], [0.5, 0.0, 0.5])
-        np.testing.assert_array_equal(out.data[1], [0.0, 0.0, 0.0])
-
     def test_standardize_columns_unit_norm_zero_mean(self):
         rng = np.random.default_rng(1)
         out = ad.standardize_columns(ad.Tensor(rng.normal(2.0, 3.0, size=(50, 6))))

@@ -135,6 +135,20 @@ class TestRunConfig:
         assert cli_main(["train", "--config", write_config(tmp_path, raw)]) == 1
         assert_single_error_line(capsys)
 
+    def test_bad_nested_train_block_exits_one(self, tmp_path, capsys):
+        for block, value, named in (
+            ("augmentation", {"edge_drop_prob": 0.1, "seed": 3}, "augmentation: ['seed']"),
+            ("weights", {"alpha": 1.0, "delta": 0.5}, "weights: ['delta']"),
+            ("cca", {"lamda": 0.1}, "cca: ['lamda']"),
+            ("mae", [2.0], "mae must be an object"),
+        ):
+            raw = base_config(tmp_path)
+            raw["train"][block] = value
+            assert cli_main(["train", "--config", write_config(tmp_path, raw)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.strip().count("\n") == 0
+            assert named in err
+
     def test_missing_config_file_exits_one(self, tmp_path, capsys):
         assert cli_main(["train", "--config", str(tmp_path / "absent.json")]) == 1
         assert_single_error_line(capsys)

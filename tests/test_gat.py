@@ -7,8 +7,6 @@ from graphebr.errors import ShapeError, ValidationError
 from graphebr.gat import (
     cca_head,
     encode,
-    gat_attention,
-    gat_layer_forward,
     init_params,
     mae_reconstruct,
 )
@@ -24,7 +22,6 @@ def make_subgraph(n, edges, features=None, global_ids=None, seed=0):
         local_edges=both,
         global_ids=np.arange(n) if global_ids is None else global_ids,
         query_locals=np.array([0]),
-        hop_of=np.zeros(n, dtype=np.int64),
     )
 
 
@@ -82,38 +79,22 @@ class TestInitParams:
 
 class TestAttention:
     def test_self_loop_only_gives_unit_weight(self):
+        # a node with no edges attends only to itself; the final layer has no ReLU
         params = init_params([3, 4], [4, 4], rng_seed=0)
         sub = make_subgraph(1, np.zeros((0, 2)))
-        _, alpha = gat_attention(params.layers[0], Tensor(sub.local_features), sub.local_edges)
-        np.testing.assert_allclose(alpha.data, [[1.0]])
-
-    def test_identical_features_attend_uniformly(self):
-        params = init_params([3, 4], [4, 4], rng_seed=1)
-        feats = np.tile(np.array([0.3, -0.2, 0.9]), (3, 1))
-        edges = np.array([[1, 0], [2, 0], [0, 1], [0, 2]])
-        full, alpha = gat_attention(params.layers[0], Tensor(feats), edges)
-        into_zero = alpha.data[full[:, 1] == 0, 0]
-        np.testing.assert_allclose(into_zero, 1.0 / 3.0, atol=1e-15)
-
-    def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(2)
-        params = init_params([3, 5], [4, 4], rng_seed=2)
-        pairs = np.unique(np.sort(rng.integers(0, 25, size=(60, 2)), axis=1), axis=0)
-        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-        sub = make_subgraph(25, pairs, seed=3)
-        edges = sub.local_edges
-        full, alpha = gat_attention(params.layers[0], Tensor(sub.local_features), edges)
-        sums = np.zeros(25)
-        np.add.at(sums, full[:, 1], alpha.data[:, 0])
-        np.testing.assert_allclose(sums, 1.0, atol=1e-12)
+        out = encode(params, sub)
+        expect = sub.local_features @ params.layers[0].W.data
+        np.testing.assert_allclose(out.data, expect, atol=1e-12)
+        assert (expect < 0).any()
 
 
 class TestLayerForward:
     def test_no_edges_reduces_to_projected_self(self):
-        params = init_params([3, 4], [4, 4], rng_seed=4)
+        params = init_params([3, 4, 4], [4, 4], rng_seed=4)
         sub = make_subgraph(5, np.zeros((0, 2)), seed=4)
-        out = gat_layer_forward(params.layers[0], sub, Tensor(sub.local_features))
-        expect = np.maximum(sub.local_features @ params.layers[0].W.data, 0.0)
+        out = encode(params, sub)
+        hidden = np.maximum(sub.local_features @ params.layers[0].W.data, 0.0)
+        expect = hidden @ params.layers[1].W.data
         np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
     def test_zero_features_give_zero_output(self):
@@ -121,15 +102,6 @@ class TestLayerForward:
         sub = make_subgraph(6, [[0, 1], [1, 2], [3, 4]], features=np.zeros((6, 3)))
         out = encode(params, sub)
         np.testing.assert_array_equal(out.data, np.zeros((6, 4)))
-
-    def test_single_layer_encode_equals_layer_forward(self):
-        params = init_params([3, 4], [4, 4], rng_seed=6)
-        sub = make_subgraph(7, [[0, 1], [1, 2], [2, 3], [4, 5]], seed=6)
-        via_encode = encode(params, sub)
-        direct = gat_layer_forward(
-            params.layers[0], sub, Tensor(sub.local_features), final=True
-        )
-        np.testing.assert_array_equal(via_encode.data, direct.data)
 
 
 class TestDenseOracle:
@@ -139,6 +111,14 @@ class TestDenseOracle:
         got = encode(params, sub)
         want = dense_reference(params, sub.local_features, sub.local_edges, 3)
         np.testing.assert_allclose(got.data, want, atol=1e-12)
+
+    def test_single_layer_matches_dense_reference(self):
+        params = init_params([3, 4], [4, 4], rng_seed=6)
+        sub = make_subgraph(7, [[0, 1], [1, 2], [2, 3], [4, 5]], seed=6)
+        got = encode(params, sub)
+        want = dense_reference(params, sub.local_features, sub.local_edges, 7)
+        np.testing.assert_allclose(got.data, want, atol=1e-12)
+        assert (want < 0).any()
 
     def test_random_small_graphs_match_dense_reference(self):
         for seed in range(20):
@@ -164,7 +144,6 @@ class TestPermutationEquivariance:
             local_edges=inv[sub.local_edges],
             global_ids=sub.global_ids[sigma],
             query_locals=inv[sub.query_locals],
-            hop_of=sub.hop_of[sigma],
         )
 
     def test_encode_is_exactly_equivariant(self):
@@ -182,22 +161,6 @@ class TestPermutationEquivariance:
             sigma = rng.permutation(n)
             shuffled = encode(params, self.permuted(sub, sigma)).data
             assert np.array_equal(shuffled, base[sigma])
-
-    def test_layer_forward_is_exactly_equivariant(self):
-        rng = np.random.default_rng(1)
-        params = init_params([3, 6], [4, 4], rng_seed=10)
-        sub = make_subgraph(
-            12, [[0, 1], [1, 2], [2, 3], [3, 4], [5, 6], [8, 9]],
-            global_ids=rng.permutation(100)[:12], seed=11,
-        )
-        h = Tensor(sub.local_features)
-        base = gat_layer_forward(params.layers[0], sub, h).data
-        sigma = rng.permutation(12)
-        permuted_sub = self.permuted(sub, sigma)
-        out = gat_layer_forward(
-            params.layers[0], permuted_sub, Tensor(sub.local_features[sigma])
-        ).data
-        assert np.array_equal(out, base[sigma])
 
 
 class TestKHopLocality:

@@ -33,9 +33,9 @@ def bfs_closure(graph, query, k):
 class TestKhopSubgraph:
     def test_path_graph_two_hops(self):
         sub = khop_subgraph(path_graph(4), 0, k=2, fanout=None, rng_seed=0)
-        assert sorted(sub.global_ids.tolist()) == [0, 1, 2]
-        hops = dict(zip(sub.global_ids.tolist(), sub.hop_of.tolist()))
-        assert hops == {0: 0, 1: 1, 2: 2}
+        assert sub.global_ids.tolist() == [0, 1, 2]
+        sub = khop_subgraph(path_graph(5), 1, k=2, fanout=None, rng_seed=0)
+        assert sub.global_ids.tolist() == [1, 0, 2, 3]
 
     def test_isolated_node_yields_only_query(self):
         g = GraphStore(np.eye(3), [(0, 1)])
@@ -132,7 +132,6 @@ def dense_subgraph(n, p, seed):
         local_edges=edges,
         global_ids=np.arange(n),
         query_locals=np.array([0]),
-        hop_of=np.zeros(n, dtype=np.int64),
     )
 
 
@@ -173,7 +172,6 @@ class TestAugmentations:
             local_edges=np.zeros((0, 2), dtype=np.int64),
             global_ids=np.arange(30),
             query_locals=np.array([0]),
-            hop_of=np.zeros(30, dtype=np.int64),
         )
         out = augment_feature_drop(sub, 0.9, rng_seed=7)
         zeroed = np.flatnonzero((out.local_features == 0).all(axis=0))
@@ -252,7 +250,6 @@ class TestWholeGraphSubgraph:
         assert sub.num_nodes == 5
         np.testing.assert_array_equal(sub.global_ids, np.arange(5))
         np.testing.assert_array_equal(sub.query_locals, np.arange(5))
-        assert (sub.hop_of == 0).all()
         np.testing.assert_array_equal(sub.local_features, g.features)
         got = {tuple(e) for e in sub.local_edges.tolist()}
         want = {(i, i + 1) for i in range(4)} | {(i + 1, i) for i in range(4)}
@@ -272,28 +269,27 @@ class TestSubgraphValidation:
                 local_edges=np.zeros((0, 2), dtype=np.int64),
                 global_ids=np.array([3, 3]),
                 query_locals=np.array([0]),
-                hop_of=np.zeros(2, dtype=np.int64),
             )
 
-    def test_query_must_sit_at_hop_zero(self):
-        with pytest.raises(ValidationError):
-            Subgraph(
-                local_features=np.eye(2),
-                local_edges=np.zeros((0, 2), dtype=np.int64),
-                global_ids=np.array([0, 1]),
-                query_locals=np.array([1]),
-                hop_of=np.array([0, 1]),
-            )
+    def test_query_locals_out_of_range_rejected(self):
+        for query_locals in ([5], [-1], [0, 3]):
+            with pytest.raises(ValidationError, match="query node out of range"):
+                Subgraph(
+                    local_features=np.eye(3),
+                    local_edges=np.zeros((0, 2), dtype=np.int64),
+                    global_ids=np.array([0, 1, 2]),
+                    query_locals=np.array(query_locals),
+                )
 
 
 def oracle_khop(graph, query, k, fanout, rng_seed):
-    """Reference breadth-first loop: (ids, hops, undirected global pairs)."""
+    """Reference breadth-first loop: (ids, undirected global pairs)."""
     rng = np.random.default_rng(rng_seed)
-    hop = {query: 0}
+    seen = {query}
     order = [query]
     pairs = []
     frontier = [query]
-    for h in range(1, k + 1):
+    for _ in range(k):
         nxt = []
         for u in frontier:
             nbrs = graph.neighbors(u)
@@ -302,12 +298,12 @@ def oracle_khop(graph, query, k, fanout, rng_seed):
             for v in nbrs:
                 v = int(v)
                 pairs.append((min(u, v), max(u, v)))
-                if v not in hop:
-                    hop[v] = h
+                if v not in seen:
+                    seen.add(v)
                     order.append(v)
                     nxt.append(v)
         frontier = nxt
-    return order, [hop[g] for g in order], pairs
+    return order, pairs
 
 
 def oracle_local_edges(order, pairs):
@@ -320,7 +316,7 @@ def oracle_local_edges(order, pairs):
 
 def oracle_example(graph, query, num_negatives, k, fanout, rng_seed):
     """Reference example: setdiff1d negatives and a dict-based union of the
-    per-root contexts. Returns (ids, hops, local edges, candidate locals)."""
+    per-root contexts. Returns (ids, local edges, candidate locals)."""
     nbrs = graph.neighbors(query)
     seeds = np.random.SeedSequence(rng_seed).spawn(3)
     rng = np.random.default_rng(seeds[0])
@@ -329,20 +325,17 @@ def oracle_example(graph, query, num_negatives, k, fanout, rng_seed):
     negatives = rng.choice(complement, size=num_negatives, replace=False) if num_negatives else []
     candidates = [positive] + [int(c) for c in negatives]
     context_seeds = seeds[1].spawn(1 + len(candidates))
-    hop, order, pairs = {}, [], set()
+    seen, order, pairs = set(), [], set()
     for root, seed in zip([query] + candidates, context_seeds):
-        ids, hops, root_pairs = oracle_khop(graph, root, k, fanout, seed)
-        for g, h in zip(ids, hops):
-            if g not in hop:
-                hop[g] = h
+        ids, root_pairs = oracle_khop(graph, root, k, fanout, seed)
+        for g in ids:
+            if g not in seen:
+                seen.add(g)
                 order.append(g)
         pairs.update(root_pairs)
     pairs.discard((min(query, positive), max(query, positive)))
     local_of = {g: i for i, g in enumerate(order)}
-    return (
-        order, [hop[g] for g in order], oracle_local_edges(order, pairs),
-        [local_of[c] for c in candidates],
-    )
+    return order, oracle_local_edges(order, pairs), [local_of[c] for c in candidates]
 
 
 def oracle_edge_drop(local_edges, p, rng_seed):
@@ -358,22 +351,20 @@ def assert_bitwise(actual, expected):
 
 class TestReferenceOracle:
     """The array-based sampler must reproduce the plain loops above draw for
-    draw: same nodes, hops, edges, negatives and edge-drop survivors."""
+    draw: same nodes, edges, negatives and edge-drop survivors."""
 
     def check(self, graph, query, k, fanout, num_negatives, seed):
         sub = khop_subgraph(graph, query, k, fanout, rng_seed=seed)
-        ids, hops, pairs = oracle_khop(graph, query, k, fanout, seed)
+        ids, pairs = oracle_khop(graph, query, k, fanout, seed)
         assert_bitwise(sub.global_ids, ids)
-        assert_bitwise(sub.hop_of, hops)
         assert_bitwise(sub.local_edges, oracle_local_edges(ids, pairs))
         np.testing.assert_array_equal(sub.local_features, graph.features[ids])
         if graph.degrees[query] == 0:
             return
         ex = sample_retrieval_example(graph, query, num_negatives, k, fanout, rng_seed=seed)
-        ids, hops, edges, cand_locals = oracle_example(graph, query, num_negatives, k, fanout, seed)
+        ids, edges, cand_locals = oracle_example(graph, query, num_negatives, k, fanout, seed)
         merged = ex.subgraph
         assert_bitwise(merged.global_ids, ids)
-        assert_bitwise(merged.hop_of, hops)
         assert_bitwise(merged.local_edges, edges)
         assert_bitwise(ex.candidate_locals, cand_locals)
         np.testing.assert_array_equal(merged.local_features, graph.features[ids])
