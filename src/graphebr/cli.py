@@ -249,9 +249,7 @@ def _cmd_train(args) -> int:
 def _cmd_embed(args) -> int:
     graph = load_graph(args.edges, args.features)
     params, _, saved_cfg, _ = load_checkpoint(args.checkpoint)
-    table = export_embeddings(
-        params, graph, k=saved_cfg.k, fanout=saved_cfg.fanout, chunk_size=args.chunk_size
-    )
+    table = export_embeddings(params, graph, k=saved_cfg.k, fanout=saved_cfg.fanout)
     _ensure_parent(args.output)
     save_table(table, args.output, binary=args.binary)
     summary = {"num_nodes": table.num_nodes, "dim": table.dim, "path": args.output}
@@ -375,7 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--binary", action="store_true")
-    p.add_argument("--chunk-size", type=int, default=128)
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("index", help="build the approximate-search index over a table")

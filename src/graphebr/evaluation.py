@@ -294,8 +294,6 @@ def evaluate(
     train_graph: GraphStore,
     heldout,
     settings: EvalSettings = EvalSettings(),
-    *,
-    chunk_size: int = 128,
 ) -> EvalReport:
     """Export embeddings with the training-time context settings, then score."""
     cfg = getattr(result, "config", None)
@@ -304,7 +302,7 @@ def evaluate(
             "evaluate: expected a train result with its config; "
             "use evaluate_table for a prebuilt embedding table"
         )
-    table = export_embeddings(result, train_graph, k=cfg.k, fanout=cfg.fanout, chunk_size=chunk_size)
+    table = export_embeddings(result, train_graph, k=cfg.k, fanout=cfg.fanout)
     return evaluate_table(table, train_graph, heldout, settings)
 
 

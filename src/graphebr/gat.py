@@ -16,6 +16,10 @@ from . import autodiff as ad
 from .autodiff import ScatterPlan, Tensor
 from .errors import ShapeError, ValidationError
 
+# Negative-side slope of the LeakyReLU on attention scores.
+_LEAKY_SLOPE = 0.2
+_HEAD_NAMES = ("cca_head.W1", "cca_head.W2", "mae.head", "mae.decoder")
+
 
 @dataclass
 class GATLayerParams:
@@ -24,7 +28,6 @@ class GATLayerParams:
     W: Tensor
     att_src: Tensor
     att_dst: Tensor
-    leaky_slope: float = 0.2
 
 
 @dataclass
@@ -48,11 +51,27 @@ class EncoderParams:
             named[f"layer{i}.W"] = layer.W
             named[f"layer{i}.att_src"] = layer.att_src
             named[f"layer{i}.att_dst"] = layer.att_dst
-        named["cca_head.W1"] = self.cca_w1
-        named["cca_head.W2"] = self.cca_w2
-        named["mae.head"] = self.mae_head
-        named["mae.decoder"] = self.mae_decoder
+        heads = (self.cca_w1, self.cca_w2, self.mae_head, self.mae_decoder)
+        named.update(zip(_HEAD_NAMES, heads))
         return named
+
+    @classmethod
+    def from_named(cls, named: dict) -> "EncoderParams":
+        """Inverse of named_parameters(): rebuild the params from its map."""
+        named = dict(named)
+        layers = []
+        while f"layer{len(layers)}.W" in named:
+            i = len(layers)
+            layers.append(
+                GATLayerParams(
+                    W=named.pop(f"layer{i}.W"),
+                    att_src=named.pop(f"layer{i}.att_src"),
+                    att_dst=named.pop(f"layer{i}.att_dst"),
+                )
+            )
+        if not layers or set(named) != set(_HEAD_NAMES):
+            raise ValidationError(f"params: unexpected parameter names {sorted(named)}")
+        return cls(layers, *(named[name] for name in _HEAD_NAMES))
 
     @property
     def feature_dim(self) -> int:
@@ -63,7 +82,7 @@ class EncoderParams:
         return self.layers[-1].W.shape[1]
 
 
-def init_params(dims, head_dims, rng_seed, leaky_slope: float = 0.2) -> EncoderParams:
+def init_params(dims, head_dims, rng_seed) -> EncoderParams:
     """Glorot-uniform initialization of all weights.
 
     `dims` lists the layer widths feature-dim first; `head_dims` gives the
@@ -89,7 +108,6 @@ def init_params(dims, head_dims, rng_seed, leaky_slope: float = 0.2) -> EncoderP
                 W=glorot(d_in, d_out),
                 att_src=glorot(d_out, 1),
                 att_dst=glorot(d_out, 1),
-                leaky_slope=leaky_slope,
             )
         )
     emb = dims[-1]
@@ -147,7 +165,7 @@ def _attention(layer: GATLayerParams, plan: _GraphPlan, h: Tensor):
             ad.gather_rows(attend, plan.dst, plan.dst_plan),
             ad.gather_rows(neighbor, plan.src, plan.src_plan),
         ),
-        layer.leaky_slope,
+        _LEAKY_SLOPE,
     )
     # constant per-group max shift: softmax is invariant and exp stays bounded
     shift = np.maximum.reduceat(scores.data[:, 0], plan.group_starts)[plan.dst]
@@ -184,11 +202,11 @@ def cca_head(params: EncoderParams, Z) -> Tensor:
     return ad.matmul(ad.relu(ad.matmul(Z, params.cca_w1)), params.cca_w2)
 
 
-def mae_reconstruct(params: EncoderParams, sub_masked, Z, mask_value: float = 0.0) -> Tensor:
+def mae_reconstruct(params: EncoderParams, sub_masked, Z) -> Tensor:
     """Decode masked-node features from embeddings of the masked subgraph.
 
     The single-layer head maps embeddings back to feature space, query rows
-    are re-masked to the mask token, and one mean-aggregation convolution
+    are re-masked to zero, and one mean-aggregation convolution
     over N(i) and i itself mixes in the neighborhood before the decoder
     weight produces the reconstruction.
     """
@@ -200,10 +218,6 @@ def mae_reconstruct(params: EncoderParams, sub_masked, Z, mask_value: float = 0.
     keep = np.ones((m, 1))
     keep[sub_masked.query_locals] = 0.0
     remasked = ad.hadamard(decoded, Tensor(keep))
-    if mask_value != 0.0:
-        token = np.zeros((m, decoded.shape[1]))
-        token[sub_masked.query_locals] = float(mask_value)
-        remasked = ad.add(remasked, Tensor(token))
 
     edges = sub_masked.local_edges
     loops = np.arange(m, dtype=np.int64)

@@ -20,6 +20,10 @@ from .gat import encode
 from .graph import GraphStore
 from .sampling import khop_subgraph, stack_subgraphs
 
+# Contexts encoded per batch by export; each row depends only on its own
+# context, so the table is the same for any chunk size.
+_EXPORT_CHUNK = 128
+
 
 @dataclass(frozen=True)
 class EmbeddingTable:
@@ -53,7 +57,7 @@ class TopkResult:
     truncated: bool
 
 
-def export_embeddings(model, graph: GraphStore, k: int, fanout, chunk_size: int = 128) -> EmbeddingTable:
+def export_embeddings(model, graph: GraphStore, k: int, fanout) -> EmbeddingTable:
     """Embed every node from its fanout-capped k-hop context.
 
     Context sampling is seeded by the node id, so repeated exports with the
@@ -66,17 +70,15 @@ def export_embeddings(model, graph: GraphStore, k: int, fanout, chunk_size: int 
             f"export: graph feature dim {graph.features.shape[1]} vs "
             f"encoder input {params.feature_dim}"
         )
-    if chunk_size < 1:
-        raise ValidationError("export: chunk_size must be >= 1")
     rows = np.empty((graph.num_nodes, params.embedding_dim))
     with ad.no_grad():
-        for start in range(0, graph.num_nodes, chunk_size):
-            ids = range(start, min(start + chunk_size, graph.num_nodes))
+        for start in range(0, graph.num_nodes, _EXPORT_CHUNK):
+            ids = range(start, min(start + _EXPORT_CHUNK, graph.num_nodes))
             subs = [khop_subgraph(graph, i, k, fanout, rng_seed=i) for i in ids]
             empty = np.zeros((len(subs), 0), dtype=np.int64)
-            batch = stack_subgraphs(subs, [sub.query_locals[0] for sub in subs], empty, empty)
+            batch = stack_subgraphs(subs, empty, empty)
             Z = encode(params, batch)
-            rows[list(ids)] = Z.data[batch.query_rows]
+            rows[list(ids)] = Z.data[batch.query_locals]
     return EmbeddingTable(rows)
 
 

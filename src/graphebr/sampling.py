@@ -66,7 +66,6 @@ class BatchGraph:
     global_ids: np.ndarray
     query_locals: np.ndarray
     example_of: np.ndarray
-    query_rows: np.ndarray
     candidate_rows: np.ndarray
     labels: np.ndarray
 
@@ -83,7 +82,6 @@ class RetrievalExample:
     """One query with M candidates, exactly one of which is a held neighbor."""
 
     subgraph: Subgraph
-    query_local: int
     candidate_locals: np.ndarray
     labels: np.ndarray
 
@@ -103,15 +101,12 @@ class AugmentationConfig:
 
     edge_drop_prob: float = 0.2
     feature_drop_prob: float = 0.2
-    mask_value: float = 0.0
 
     def __post_init__(self):
         for name in ("edge_drop_prob", "feature_drop_prob"):
             p = getattr(self, name)
             if not 0.0 <= p < 1.0:
                 raise ValidationError(f"augmentation: {name} must lie in [0, 1)")
-        if not np.isfinite(self.mask_value):
-            raise ValidationError("augmentation: mask_value must be finite")
 
 
 def khop_subgraph(graph: GraphStore, query: int, k: int, fanout, rng_seed) -> Subgraph:
@@ -294,7 +289,6 @@ def sample_retrieval_example(
     labels[0] = 1.0
     return RetrievalExample(
         subgraph=merged,
-        query_local=0,
         candidate_locals=_positions(ids, candidates),
         labels=labels,
     )
@@ -325,13 +319,13 @@ def augment_feature_drop(sub, p: float, rng_seed):
     return replace(sub, local_features=sub.local_features * keep)
 
 
-def mask_query_features(sub, mask_value: float):
-    """Overwrite query rows with the mask token; returns (masked, originals)."""
+def mask_query_features(sub):
+    """Zero the query rows' features; returns (masked, originals)."""
     if len(sub.query_locals) == 0:
         raise ValidationError("mask: subgraph has no query nodes")
     originals = sub.local_features[sub.query_locals].copy()
     masked = sub.local_features.copy()
-    masked[sub.query_locals] = float(mask_value)
+    masked[sub.query_locals] = 0.0
     return replace(sub, local_features=masked), originals
 
 
@@ -344,17 +338,16 @@ def merge_examples(examples) -> BatchGraph:
         raise ValidationError("merge: examples disagree on candidate count")
     return stack_subgraphs(
         [ex.subgraph for ex in examples],
-        query_rows=[ex.query_local for ex in examples],
         candidate_rows=np.vstack([ex.candidate_locals for ex in examples]),
         labels=np.vstack([ex.labels for ex in examples]),
     )
 
 
-def stack_subgraphs(subs, query_rows, candidate_rows, labels) -> BatchGraph:
+def stack_subgraphs(subs, candidate_rows, labels) -> BatchGraph:
     """Stack subgraphs into one BatchGraph without deduplicating nodes.
 
-    `query_rows` (one per subgraph) and `candidate_rows` (one row per
-    subgraph) are local ids, shifted here by each subgraph's row offset.
+    `candidate_rows` (one row per subgraph) are local ids, shifted here by
+    each subgraph's row offset like every subgraph's `query_locals`.
     """
     sizes = [sub.num_nodes for sub in subs]
     offsets = np.cumsum([0] + sizes[:-1])
@@ -364,7 +357,6 @@ def stack_subgraphs(subs, query_rows, candidate_rows, labels) -> BatchGraph:
         global_ids=np.concatenate([sub.global_ids for sub in subs]),
         query_locals=np.concatenate([sub.query_locals + o for sub, o in zip(subs, offsets)]),
         example_of=np.repeat(np.arange(len(subs), dtype=np.int64), sizes),
-        query_rows=np.asarray(query_rows, dtype=np.int64) + offsets,
         candidate_rows=np.asarray(candidate_rows, dtype=np.int64) + offsets[:, None],
         labels=np.asarray(labels, dtype=np.float64),
     )

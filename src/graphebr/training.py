@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import NumericError, ShapeError, SkipExample, ValidationError
-from .gat import EncoderParams, GATLayerParams, cca_head, encode, init_params, mae_reconstruct
+from .gat import EncoderParams, cca_head, encode, init_params, mae_reconstruct
 from .graph import GraphStore
 from .losses import (
     CcaConfig,
@@ -45,6 +45,10 @@ TASKS = ("retrieval", "cca", "mae")
 
 METRIC_FIELDS = ("step", "retrieval", "cca", "mae", "combined", "wall_ms")
 
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -53,9 +57,6 @@ class TrainConfig:
     steps: int = 200
     batch_size: int = 32
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     clip_norm: float = 5.0
     weights: LossWeights = field(default_factory=LossWeights)
     cca: CcaConfig = field(default_factory=CcaConfig)
@@ -66,11 +67,10 @@ class TrainConfig:
     num_negatives: int = 15
     seed: int = 0
     checkpoint_every: int = 0
-    enabled_tasks: tuple = TASKS
-    hidden_dims: tuple = (64,)
+    enabled_tasks: tuple[str, ...] = TASKS
+    hidden_dims: tuple[int, ...] = (64,)
     embedding_dim: int = 64
     projection_dim: int = 64
-    leaky_slope: float = 0.2
 
     def __post_init__(self):
         object.__setattr__(self, "enabled_tasks", tuple(self.enabled_tasks))
@@ -122,11 +122,38 @@ def config_to_dict(cfg: TrainConfig) -> dict:
     return json.loads(json.dumps(asdict(cfg)))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _list_of(check):
+    return lambda value: isinstance(value, (list, tuple)) and all(check(x) for x in value)
+
+
+# JSON shape each annotated field accepts: (what the error calls it, check)
+_FIELD_TYPES = {
+    "int": ("an integer", _is_int),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "int | None": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "tuple[str, ...]": ("a list of strings", _list_of(lambda v: isinstance(v, str))),
+    "tuple[int, ...]": ("a list of integers", _list_of(_is_int)),
+}
+
+
+def _check_types(prefix: str, cls, raw: dict):
+    for f in fields(cls):
+        if f.name in raw and f.type in _FIELD_TYPES:
+            kind, ok = _FIELD_TYPES[f.type]
+            if not ok(raw[f.name]):
+                raise ValidationError(f"train config: {prefix}{f.name} must be {kind}")
+
+
 def config_from_dict(raw: dict) -> TrainConfig:
     raw = dict(raw)
     unknown = set(raw) - {f.name for f in fields(TrainConfig)}
     if unknown:
         raise ValidationError(f"train config: unknown fields {sorted(unknown)}")
+    _check_types("", TrainConfig, raw)
     for key, cls in (
         ("weights", LossWeights),
         ("cca", CcaConfig),
@@ -140,6 +167,7 @@ def config_from_dict(raw: dict) -> TrainConfig:
         unknown = set(raw[key]) - {f.name for f in fields(cls)}
         if unknown:
             raise ValidationError(f"train config: unknown fields in {key}: {sorted(unknown)}")
+        _check_types(f"{key}.", cls, raw[key])
         raw[key] = cls(**raw[key])
     return TrainConfig(**raw)
 
@@ -173,24 +201,24 @@ def clip_gradients(grads: dict, max_norm: float):
     return grads, total
 
 
-def adam_update(params: EncoderParams, grads: dict, opt: OptimizerState, lr, beta1, beta2, eps):
+def adam_update(params: EncoderParams, grads: dict, opt: OptimizerState, lr):
     """Bias-corrected Adam step, in place; missing gradients count as zero."""
     named = params.named_parameters()
     unknown = set(grads) - set(named)
     if unknown:
         raise ValidationError(f"adam: gradients for unknown parameters {sorted(unknown)}")
     opt.t += 1
-    correct1 = 1.0 - beta1 ** opt.t
-    correct2 = 1.0 - beta2 ** opt.t
+    correct1 = 1.0 - _ADAM_BETA1 ** opt.t
+    correct2 = 1.0 - _ADAM_BETA2 ** opt.t
     for name, p in named.items():
         g = grads.get(name)
         if g is None:
             g = np.zeros(p.shape)
         elif g.shape != p.shape:
             raise ShapeError(f"adam: gradient {g.shape} vs parameter {p.shape} for {name}")
-        m = opt.m[name] = beta1 * opt.m[name] + (1.0 - beta1) * g
-        v = opt.v[name] = beta2 * opt.v[name] + (1.0 - beta2) * (g * g)
-        updated = p.data - lr * (m / correct1) / (np.sqrt(v / correct2) + eps)
+        m = opt.m[name] = _ADAM_BETA1 * opt.m[name] + (1.0 - _ADAM_BETA1) * g
+        v = opt.v[name] = _ADAM_BETA2 * opt.v[name] + (1.0 - _ADAM_BETA2) * (g * g)
+        updated = p.data - lr * (m / correct1) / (np.sqrt(v / correct2) + _ADAM_EPS)
         if not np.isfinite(updated.sum()):
             raise NumericError(f"adam: non-finite update for {name}")
         p.data = updated
@@ -241,7 +269,7 @@ def step_gradients(graph: GraphStore, params: EncoderParams, cfg: TrainConfig, s
         if "retrieval" in active:
             Z = encode(params, batch)
             triples = []
-            for row, cand_rows, labels in zip(batch.query_rows, batch.candidate_rows, batch.labels):
+            for row, cand_rows, labels in zip(batch.query_locals, batch.candidate_rows, batch.labels):
                 triples.append(
                     (ad.gather_rows(Z, [row]), ad.gather_rows(Z, cand_rows), labels)
                 )
@@ -265,10 +293,8 @@ def step_gradients(graph: GraphStore, params: EncoderParams, cfg: TrainConfig, s
         if "mae" in active:
             (seed_edges,) = mae_ss.spawn(1)
             dropped = augment_edge_drop(batch, aug.edge_drop_prob, seed_edges)
-            masked, originals = mask_query_features(dropped, aug.mask_value)
-            recon = mae_reconstruct(
-                params, masked, encode(params, masked), mask_value=aug.mask_value
-            )
+            masked, originals = mask_query_features(dropped)
+            recon = mae_reconstruct(params, masked, encode(params, masked))
             recon_queries = ad.gather_rows(recon, masked.query_locals)
             mae = mae_loss(originals, recon_queries, cfg.mae)
 
@@ -293,10 +319,7 @@ def train_step(graph: GraphStore, params: EncoderParams, opt: OptimizerState, cf
         return params, opt, None
     grads, report = result
     grads, _ = clip_gradients(grads, cfg.clip_norm)
-    params, opt = adam_update(
-        params, grads, opt,
-        cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps,
-    )
+    params, opt = adam_update(params, grads, opt, cfg.learning_rate)
     return params, opt, report
 
 
@@ -317,7 +340,6 @@ def init_model(cfg: TrainConfig, feature_dim: int) -> EncoderParams:
         cfg.encoder_dims(feature_dim),
         (cfg.projection_dim, cfg.projection_dim),
         np.random.SeedSequence([cfg.seed]),
-        leaky_slope=cfg.leaky_slope,
     )
 
 
@@ -415,12 +437,11 @@ def load_checkpoint(path):
         try:
             cfg = config_from_dict(json.loads(str(data["config_json"][()])))
             next_step = int(data["next_step"][()])
-            stored = {
-                key[len("param/"):]: np.array(data[key])
+            params = EncoderParams.from_named({
+                key[len("param/"):]: Tensor(np.array(data[key]), requires_grad=True)
                 for key in data.files
                 if key.startswith("param/")
-            }
-            params = _params_from_arrays(stored, cfg.leaky_slope)
+            })
             names = params.named_parameters()
             opt = OptimizerState(
                 m={name: np.array(data[f"opt_m/{name}"]) for name in names},
@@ -430,30 +451,6 @@ def load_checkpoint(path):
         except KeyError as err:
             raise ValidationError(f"checkpoint {path}: missing entry {err}") from err
     return params, opt, cfg, next_step
-
-
-def _params_from_arrays(stored: dict, leaky_slope: float) -> EncoderParams:
-    layers = []
-    while f"layer{len(layers)}.W" in stored:
-        i = len(layers)
-        layers.append(
-            GATLayerParams(
-                W=Tensor(stored.pop(f"layer{i}.W"), requires_grad=True),
-                att_src=Tensor(stored.pop(f"layer{i}.att_src"), requires_grad=True),
-                att_dst=Tensor(stored.pop(f"layer{i}.att_dst"), requires_grad=True),
-                leaky_slope=leaky_slope,
-            )
-        )
-    heads = ("cca_head.W1", "cca_head.W2", "mae.head", "mae.decoder")
-    if not layers or set(stored) != set(heads):
-        raise ValidationError(f"checkpoint: unexpected parameter names {sorted(stored)}")
-    return EncoderParams(
-        layers=layers,
-        cca_w1=Tensor(stored["cca_head.W1"], requires_grad=True),
-        cca_w2=Tensor(stored["cca_head.W2"], requires_grad=True),
-        mae_head=Tensor(stored["mae.head"], requires_grad=True),
-        mae_decoder=Tensor(stored["mae.decoder"], requires_grad=True),
-    )
 
 
 def _require_matching_config(cfg: TrainConfig, saved: TrainConfig):
@@ -494,30 +491,13 @@ def loss_gradient_cases(seed: int = 0) -> list:
     names = list(base.named_parameters())
 
     def rebuild(tensors):
-        named = dict(zip(names, tensors))
-        layers = []
-        while f"layer{len(layers)}.W" in named:
-            i = len(layers)
-            layers.append(
-                GATLayerParams(
-                    W=named[f"layer{i}.W"],
-                    att_src=named[f"layer{i}.att_src"],
-                    att_dst=named[f"layer{i}.att_dst"],
-                )
-            )
-        return EncoderParams(
-            layers=layers,
-            cca_w1=named["cca_head.W1"],
-            cca_w2=named["cca_head.W2"],
-            mae_head=named["mae.head"],
-            mae_decoder=named["mae.decoder"],
-        )
+        return EncoderParams.from_named(dict(zip(names, tensors)))
 
     def retrieval_case(*tensors):
         Z = encode(rebuild(tensors), sub)
         return mean_retrieval_loss(
             [(
-                ad.gather_rows(Z, [example.query_local]),
+                ad.gather_rows(Z, sub.query_locals),
                 ad.gather_rows(Z, example.candidate_locals),
                 example.labels,
             )]
@@ -535,7 +515,7 @@ def loss_gradient_cases(seed: int = 0) -> list:
             CcaConfig(lam=0.5),
         )
 
-    masked, originals = mask_query_features(view_b, 0.0)
+    masked, originals = mask_query_features(view_b)
 
     def mae_case(*tensors):
         p = rebuild(tensors)

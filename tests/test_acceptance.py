@@ -175,10 +175,7 @@ def test_whitening_objective_decorrelates_embeddings():
             if p in by_tensor
         }
         grads, _ = clip_gradients(grads, cfg.clip_norm)
-        params, opt = adam_update(
-            params, grads, opt,
-            cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps,
-        )
+        params, opt = adam_update(params, grads, opt, cfg.learning_rate)
     after = whitening_term(params)
 
     reduction = 1.0 - after / before

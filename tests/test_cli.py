@@ -141,6 +141,11 @@ class TestRunConfig:
             ("weights", {"alpha": 1.0, "delta": 0.5}, "weights: ['delta']"),
             ("cca", {"lamda": 0.1}, "cca: ['lamda']"),
             ("mae", [2.0], "mae must be an object"),
+            ("steps", "ten", "steps must be an integer"),
+            ("steps", 2.5, "steps must be an integer"),
+            ("fanout", "x", "fanout must be an integer or null"),
+            ("weights", {"alpha": "x"}, "weights.alpha must be a number"),
+            ("augmentation", {"edge_drop_prob": None}, "augmentation.edge_drop_prob must be a number"),
         ):
             raw = base_config(tmp_path)
             raw["train"][block] = value

@@ -92,12 +92,19 @@ class TestExportEmbeddings:
         b = export_embeddings(params, graph, k=2, fanout=4)
         np.testing.assert_array_equal(a.vectors, b.vectors)
 
-    def test_chunking_does_not_change_embeddings(self):
-        graph = generate_synthetic_graph(30, 2, 0.2, 0.05, 6, 0.0, rng_seed=3)
+    def test_every_row_matches_its_own_context_encode(self):
+        from graphebr import autodiff as ad
+
+        # more nodes than one export batch, so rows cross a batch boundary
+        graph = generate_synthetic_graph(150, 2, 0.1, 0.02, 6, 0.0, rng_seed=3)
         params = self.make_model()
-        whole = export_embeddings(params, graph, k=2, fanout=4, chunk_size=64)
-        single = export_embeddings(params, graph, k=2, fanout=4, chunk_size=1)
-        np.testing.assert_allclose(whole.vectors, single.vectors, atol=1e-12)
+        table = export_embeddings(params, graph, k=2, fanout=4)
+        with ad.no_grad():
+            expected = np.vstack([
+                encode(params, khop_subgraph(graph, i, 2, 4, rng_seed=i)).data[0]
+                for i in range(graph.num_nodes)
+            ])
+        np.testing.assert_allclose(table.vectors, expected, rtol=0, atol=1e-12)
 
     def test_feature_dim_mismatch_rejected(self):
         graph = GraphStore(np.zeros((2, 3)), [[0, 1]])

@@ -194,23 +194,23 @@ class TestAugmentations:
 class TestMaskQueryFeatures:
     def test_query_row_masked_and_originals_returned(self):
         sub = dense_subgraph(10, 0.3, seed=11)
-        masked, originals = mask_query_features(sub, 0.0)
+        masked, originals = mask_query_features(sub)
         np.testing.assert_array_equal(masked.local_features[0], np.zeros(3))
         np.testing.assert_array_equal(originals[0], sub.local_features[0])
 
     def test_non_query_rows_unchanged(self):
         sub = dense_subgraph(10, 0.3, seed=12)
-        masked, _ = mask_query_features(sub, 7.0)
+        masked, _ = mask_query_features(sub)
         np.testing.assert_array_equal(
             masked.local_features[1:], sub.local_features[1:]
         )
 
     def test_masking_twice_is_idempotent(self):
         sub = dense_subgraph(10, 0.3, seed=13)
-        once, _ = mask_query_features(sub, 0.5)
-        twice, originals = mask_query_features(once, 0.5)
+        once, _ = mask_query_features(sub)
+        twice, originals = mask_query_features(once)
         np.testing.assert_array_equal(once.local_features, twice.local_features)
-        np.testing.assert_array_equal(originals, np.full((1, 3), 0.5))
+        np.testing.assert_array_equal(originals, np.zeros((1, 3)))
 
 
 class TestMergeExamples:
@@ -228,7 +228,7 @@ class TestMergeExamples:
                 batch.global_ids[offset : offset + ex.subgraph.num_nodes],
                 ex.subgraph.global_ids,
             )
-            assert batch.query_rows[i] == ex.query_local + offset
+            assert batch.query_locals[i] == ex.subgraph.query_locals[0] + offset
             np.testing.assert_array_equal(
                 batch.candidate_rows[i], ex.candidate_locals + offset
             )
@@ -368,7 +368,7 @@ class TestReferenceOracle:
         assert_bitwise(merged.local_edges, edges)
         assert_bitwise(ex.candidate_locals, cand_locals)
         np.testing.assert_array_equal(merged.local_features, graph.features[ids])
-        assert ex.query_local == 0 and merged.global_ids[0] == query
+        assert merged.query_locals.tolist() == [0] and merged.global_ids[0] == query
         if merged.local_edges.size:
             dropped = augment_edge_drop(merged, 0.3, rng_seed=seed)
             assert_bitwise(dropped.local_edges, oracle_edge_drop(merged.local_edges, 0.3, seed))

@@ -96,10 +96,38 @@ class TestTrainConfig:
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
     def test_unknown_field_rejected(self):
-        raw = config_to_dict(small_config())
-        raw["momentum"] = 0.9
-        with pytest.raises(ValidationError):
-            config_from_dict(raw)
+        # the last three were settings before they became constants
+        for block, name in (
+            (None, "momentum"),
+            (None, "adam_beta1"),
+            (None, "leaky_slope"),
+            ("augmentation", "mask_value"),
+        ):
+            raw = config_to_dict(small_config())
+            (raw if block is None else raw[block])[name] = 0.5
+            with pytest.raises(ValidationError, match="unknown fields"):
+                config_from_dict(raw)
+
+    def test_mistyped_values_rejected_naming_the_field(self):
+        for patch, named in (
+            ({"steps": "ten"}, "steps"),
+            ({"steps": 2.5}, "steps"),
+            ({"steps": True}, "steps"),
+            ({"fanout": "x"}, "fanout"),
+            ({"learning_rate": "0.1"}, "learning_rate"),
+            ({"hidden_dims": [2.5]}, "hidden_dims"),
+            ({"enabled_tasks": [["retrieval"]]}, "enabled_tasks"),
+            ({"weights": {"alpha": "x"}}, "weights.alpha"),
+            ({"augmentation": {"edge_drop_prob": None}}, "augmentation.edge_drop_prob"),
+        ):
+            raw = {**config_to_dict(small_config()), **patch}
+            with pytest.raises(ValidationError, match=rf"train config: {named} must be"):
+                config_from_dict(raw)
+
+    def test_integer_learning_rate_and_null_fanout_accepted(self):
+        raw = {**config_to_dict(small_config()), "learning_rate": 1, "fanout": None}
+        cfg = config_from_dict(raw)
+        assert (cfg.learning_rate, cfg.fanout) == (1, None)
 
 
 class TestAdam:
@@ -112,17 +140,29 @@ class TestAdam:
     def test_first_step_hand_value(self):
         params, opt = self.make(0.0)
         grads = {name: np.ones(p.shape) for name, p in params.named_parameters().items()}
-        adam_update(params, grads, opt, 0.1, 0.9, 0.999, 1e-8)
+        adam_update(params, grads, opt, 0.1)
         # bias correction makes the first step lr * 1 / (1 + eps)
         want = -0.1 / (1.0 + 1e-8)
         for p in params.named_parameters().values():
             assert abs(p.data[0, 0] - want) < 1e-15
         assert opt.t == 1
 
+    def test_second_step_hand_value(self):
+        params, opt = self.make(0.0)
+        ones = {name: np.ones(p.shape) for name, p in params.named_parameters().items()}
+        adam_update(params, ones, opt, 0.1)
+        adam_update(params, {}, opt, 0.1)
+        # beta1 0.9 and beta2 0.999: m = 0.09 and v = 0.999e-3 after a zero gradient
+        m_hat = 0.9 * 0.1 / (1.0 - 0.9**2)
+        v_hat = 0.999 * 1e-3 / (1.0 - 0.999**2)
+        want = -0.1 / (1.0 + 1e-8) - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        for p in params.named_parameters().values():
+            assert abs(p.data[0, 0] - want) < 1e-15
+
     def test_zero_gradient_leaves_parameters_unchanged(self):
         params, opt = self.make(0.7)
         before = {n: p.data.copy() for n, p in params.named_parameters().items()}
-        adam_update(params, {}, opt, 0.1, 0.9, 0.999, 1e-8)
+        adam_update(params, {}, opt, 0.1)
         for name, p in params.named_parameters().items():
             np.testing.assert_array_equal(p.data, before[name])
 
@@ -134,19 +174,19 @@ class TestAdam:
             params, opt = self.make(0.0)
             for g in seq:
                 grads = {n: np.full(p.shape, g) for n, p in params.named_parameters().items()}
-                adam_update(params, grads, opt, 0.01, 0.9, 0.999, 1e-8)
+                adam_update(params, grads, opt, 0.01)
             runs.append(params)
         assert params_equal(*runs)
 
     def test_unknown_gradient_name_rejected(self):
         params, opt = self.make()
         with pytest.raises(ValidationError):
-            adam_update(params, {"stray": np.ones((1, 1))}, opt, 0.1, 0.9, 0.999, 1e-8)
+            adam_update(params, {"stray": np.ones((1, 1))}, opt, 0.1)
 
     def test_mismatched_gradient_shape_rejected(self):
         params, opt = self.make()
         with pytest.raises(ShapeError):
-            adam_update(params, {"layer0.W": np.ones((2, 2))}, opt, 0.1, 0.9, 0.999, 1e-8)
+            adam_update(params, {"layer0.W": np.ones((2, 2))}, opt, 0.1)
 
 
 class TestClipGradients:
@@ -329,6 +369,18 @@ class TestCheckpoints:
             kept = {k: data[k] for k in data.files if k != "opt_t"}
         np.savez(str(path), **kept)
         with pytest.raises(ValidationError):
+            load_checkpoint(str(path))
+
+    def test_stray_parameter_rejected(self, tmp_path):
+        cfg = small_config()
+        params = init_model(cfg, 8)
+        path = tmp_path / "stray.npz"
+        save_checkpoint(str(path), params, init_optimizer(params), cfg, 5)
+        with np.load(str(path)) as data:
+            kept = {k: data[k] for k in data.files}
+        kept["param/extra.W"] = np.ones((2, 2))
+        np.savez(str(path), **kept)
+        with pytest.raises(ValidationError, match="unexpected parameter names.*'extra.W'"):
             load_checkpoint(str(path))
 
 
