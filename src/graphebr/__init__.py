@@ -53,7 +53,6 @@ from .losses import (
     combined_loss,
     mae_loss,
     mean_retrieval_loss,
-    retrieval_loss,
 )
 from .sampling import (
     AugmentationConfig,
@@ -117,7 +116,6 @@ __all__ = [
     "mean_retrieval_loss",
     "report_from_dict",
     "report_to_json",
-    "retrieval_loss",
     "sample_retrieval_example",
     "save_checkpoint",
     "save_graph",

@@ -155,14 +155,21 @@ def backward(loss: Tensor) -> dict:
 # primitives
 
 
+def _tracked(t: Tensor) -> bool:
+    """Whether a gradient for t can reach a leaf: on the tape or trainable."""
+    return t._on_tape or t.requires_grad
+
+
 def matmul(a, b) -> Tensor:
+    """Matrix product; skips the VJP of an operand that is not tracked."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
+    grad_a, grad_b = _tracked(a), _tracked(b)
 
     def vjp(g):
-        return g @ bd.T, ad.T @ g
+        return (g @ bd.T if grad_a else None), (ad.T @ g if grad_b else None)
 
     return _apply("matmul", ad @ bd, (a, b), vjp)
 
@@ -190,7 +197,10 @@ def scale(a, c) -> Tensor:
 
 
 def hadamard(a, b) -> Tensor:
-    """Elementwise product; a single-column operand broadcasts across columns."""
+    """Elementwise product; a single-column operand broadcasts across columns.
+
+    Skips the VJP of an operand that is not tracked.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     ok = a.shape[0] == b.shape[0] and (
         a.shape[1] == b.shape[1] or 1 in (a.shape[1], b.shape[1])
@@ -198,15 +208,13 @@ def hadamard(a, b) -> Tensor:
     if not ok:
         raise ShapeError(f"hadamard: {a.shape} vs {b.shape}")
     ad, bd = a.data, b.data
+    grad_a, grad_b = _tracked(a), _tracked(b)
+
+    def fold(grad, like):
+        return grad if grad.shape == like.shape else grad.sum(axis=1, keepdims=True)
 
     def vjp(g):
-        ga = g * bd
-        gb = g * ad
-        if ga.shape != ad.shape:
-            ga = ga.sum(axis=1, keepdims=True)
-        if gb.shape != bd.shape:
-            gb = gb.sum(axis=1, keepdims=True)
-        return ga, gb
+        return (fold(g * bd, ad) if grad_a else None), (fold(g * ad, bd) if grad_b else None)
 
     return _apply("hadamard", ad * bd, (a, b), vjp)
 
@@ -233,14 +241,6 @@ def exp(a) -> Tensor:
     with np.errstate(over="ignore"):
         out = np.exp(a.data)
     return _apply("exp", out, (a,), lambda g: (g * out,))
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    ad = a.data
-    if np.any(ad <= 0):
-        raise DomainError("log: requires strictly positive input")
-    return _apply("log", np.log(ad), (a,), lambda g: (g / ad,))
 
 
 def l2_normalize_rows(a) -> Tensor:
@@ -290,26 +290,13 @@ def frobenius_sq(a) -> Tensor:
 
 
 def row_dot(a, b) -> Tensor:
-    """Per-row dot product; a single-row operand broadcasts against the other."""
+    """Per-row dot product of two same-shape operands, as one column."""
     a, b = _as_tensor(a), _as_tensor(b)
-    ok = a.shape[1] == b.shape[1] and (
-        a.shape[0] == b.shape[0] or 1 in (a.shape[0], b.shape[0])
-    )
-    if not ok:
+    if a.shape != b.shape:
         raise ShapeError(f"row_dot: {a.shape} vs {b.shape}")
     ad, bd = a.data, b.data
     out = (ad * bd).sum(axis=1, keepdims=True)
-
-    def vjp(g):
-        ga = g * bd
-        gb = g * ad
-        if ga.shape != ad.shape:
-            ga = ga.sum(axis=0, keepdims=True)
-        if gb.shape != bd.shape:
-            gb = gb.sum(axis=0, keepdims=True)
-        return ga, gb
-
-    return _apply("row_dot", out, (a, b), vjp)
+    return _apply("row_dot", out, (a, b), lambda g: (g * bd, g * ad))
 
 
 def mean_scalar(a) -> Tensor:
@@ -363,7 +350,12 @@ class ScatterPlan:
 
 
 def gather_rows(a, idx, plan: ScatterPlan | None = None) -> Tensor:
-    """Select rows of `a` by index; `plan` speeds up the backward scatter."""
+    """Select rows of `a` by index; `plan` speeds up the backward scatter.
+
+    Without a plan the VJP adds rows into zeros with np.add.at, in
+    ascending position like the plan's CSR product, so both sum bitwise
+    alike.
+    """
     a = _as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64).ravel()
     n = a.shape[0]
@@ -374,8 +366,11 @@ def gather_rows(a, idx, plan: ScatterPlan | None = None) -> Tensor:
     out = a.data[idx]
 
     def vjp(g):
-        mat = plan.matrix if plan is not None else ScatterPlan(idx, n).matrix
-        return (mat @ g,)
+        if plan is not None:
+            return (plan.matrix @ g,)
+        out = np.zeros((n, g.shape[1]))
+        np.add.at(out, idx, g)
+        return (out,)
 
     return _apply("gather_rows", out, (a,), vjp)
 
@@ -486,7 +481,6 @@ def primitive_gradient_suite(seed: int) -> list:
         ("relu", lambda a: reduced(relu(a)), [away_from_zero(5, 4)]),
         ("leaky_relu", lambda a: reduced(leaky_relu(a, 0.2)), [away_from_zero(5, 4)]),
         ("exp", lambda a: reduced(exp(a)), [mat(5, 4)]),
-        ("log", lambda a: reduced(log(a)), [mat(5, 4, 0.5, 2.0)]),
         (
             "l2_normalize_rows",
             lambda a: reduced(l2_normalize_rows(a)),
@@ -499,7 +493,6 @@ def primitive_gradient_suite(seed: int) -> list:
         ),
         ("frobenius_sq", lambda a: frobenius_sq(a), [mat(5, 4)]),
         ("row_dot", lambda a, b: reduced(row_dot(a, b)), [mat(5, 4), mat(5, 4)]),
-        ("row_dot_bcast", lambda a, b: reduced(row_dot(a, b)), [mat(1, 4), mat(5, 4)]),
         ("mean_scalar", lambda a: mean_scalar(a), [mat(5, 4)]),
         ("power_square", lambda a: reduced(power(a, 2.0)), [mat(5, 4)]),
         (

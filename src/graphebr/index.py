@@ -18,7 +18,9 @@ from . import autodiff as ad
 from .errors import ShapeError, ValidationError
 from .gat import encode
 from .graph import GraphStore
-from .sampling import khop_subgraph, stack_subgraphs
+# Export samples through khop_batch and never calls khop_subgraph; the
+# name stays importable because benchmarks/ traces index.khop_subgraph.
+from .sampling import khop_batch, khop_subgraph  # noqa: F401
 
 # Contexts encoded per batch by export; each row depends only on its own
 # context, so the table is the same for any chunk size.
@@ -74,11 +76,9 @@ def export_embeddings(model, graph: GraphStore, k: int, fanout) -> EmbeddingTabl
     with ad.no_grad():
         for start in range(0, graph.num_nodes, _EXPORT_CHUNK):
             ids = range(start, min(start + _EXPORT_CHUNK, graph.num_nodes))
-            subs = [khop_subgraph(graph, i, k, fanout, rng_seed=i) for i in ids]
-            empty = np.zeros((len(subs), 0), dtype=np.int64)
-            batch = stack_subgraphs(subs, empty, empty)
+            batch = khop_batch(graph, ids, k, fanout, seeds=ids)
             Z = encode(params, batch)
-            rows[list(ids)] = Z.data[batch.query_locals]
+            rows[start : ids.stop] = Z.data[batch.query_locals]
     return EmbeddingTable(rows)
 
 

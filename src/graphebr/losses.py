@@ -20,8 +20,10 @@ class LossWeights:
     gamma: float = 1e-3
 
     def __post_init__(self):
-        if min(self.alpha, self.beta, self.gamma) < 0:
-            raise ValidationError("loss weights must be non-negative")
+        for name in ("alpha", "beta", "gamma"):
+            w = getattr(self, name)
+            if not (np.isfinite(w) and w >= 0):
+                raise ValidationError(f"loss weights: {name} must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,8 @@ class MaeConfig:
     y_exponent: float = 2.0
 
     def __post_init__(self):
-        if self.y_exponent < 1.0:
-            raise ValidationError("mae: y_exponent must be at least 1")
+        if not (np.isfinite(self.y_exponent) and self.y_exponent >= 1.0):
+            raise ValidationError("mae: y_exponent must be finite and at least 1")
 
 
 @dataclass(frozen=True)
@@ -109,43 +111,57 @@ def mae_loss(originals, reconstructed, cfg: MaeConfig) -> Tensor:
     return ad.mean_scalar(ad.power(error, cfg.y_exponent))
 
 
-def retrieval_loss(query_emb, candidate_embs, labels) -> Tensor:
-    """Softmax cross-entropy over dot-product logits for one query.
+def mean_retrieval_loss(queries, candidates, labels) -> Tensor:
+    """Mean softmax cross-entropy over dot-product logits for B queries.
 
-    `labels` must be one-hot across the M candidates; computed via a
-    shift-stable log-sum-exp so large logits cannot overflow.
+    Query b scores candidate rows b*M .. b*M + M-1 against the one-hot row
+    b of `labels` (B, M). Each term is a shift-stable log-sum-exp,
+    log(mean(exp(l - max l))) + (log M + max l) - l_pos, so large logits
+    cannot overflow. The terms are summed left to right and scaled by 1/B.
+    One tape record with a hand-written VJP; every float operation runs in
+    the order of the equivalent chain of primitives per query, so values
+    and gradients equal that chain's bitwise.
     """
-    q = query_emb if isinstance(query_emb, Tensor) else Tensor(query_emb)
-    cands = candidate_embs if isinstance(candidate_embs, Tensor) else Tensor(candidate_embs)
-    labels = np.asarray(labels, dtype=np.float64).ravel()
-    M = cands.shape[0]
+    q = queries if isinstance(queries, Tensor) else Tensor(queries)
+    cands = candidates if isinstance(candidates, Tensor) else Tensor(candidates)
+    labels = np.asarray(labels, dtype=np.float64)
+    if labels.ndim != 2:
+        raise ShapeError(f"retrieval: labels must be (queries, candidates), got {labels.shape}")
+    B, M = labels.shape
+    if B < 1:
+        raise ValidationError("retrieval: empty batch")
     if M < 2:
         raise ValidationError("retrieval: need at least 2 candidates")
-    if q.shape != (1, cands.shape[1]):
-        raise ShapeError(f"retrieval: query {q.shape} vs candidates {cands.shape}")
-    if len(labels) != M:
-        raise ShapeError(f"retrieval: {len(labels)} labels for {M} candidates")
-    positives = np.flatnonzero(labels == 1.0)
-    if len(positives) != 1 or not np.all(np.isin(labels, (0.0, 1.0))):
+    d = q.shape[1]
+    if q.shape[0] != B or cands.shape != (B * M, d):
+        raise ShapeError(
+            f"retrieval: queries {q.shape} and candidates {cands.shape} for labels {labels.shape}"
+        )
+    if not (np.isin(labels, (0.0, 1.0)).all() and (labels.sum(axis=1) == 1.0).all()):
         raise ValidationError("retrieval: labels must be one-hot")
 
-    logits = ad.row_dot(cands, q)
-    shift = float(logits.data.max())
-    log_mean = ad.log(ad.mean_scalar(ad.exp(ad.sub(logits, Tensor(np.full((M, 1), shift))))))
-    log_sum = ad.add(log_mean, Tensor([[np.log(M) + shift]]))
-    positive_logit = ad.gather_rows(logits, positives)
-    return ad.sub(log_sum, positive_logit)
+    rows, positives = np.arange(B), labels.argmax(axis=1)
+    qd, cd = q.data, cands.data.reshape(B, M, d)
+    logits = (cd * qd[:, None, :]).sum(axis=2)
+    shift = logits.max(axis=1)
+    e = np.exp(logits - shift[:, None])
+    means = e.mean(axis=1)
+    terms = np.log(means) + (np.log(M) + shift) - logits[rows, positives]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    c = 1.0 / B
 
+    def vjp(g):
+        g_term = c * g[0, 0]
+        g_logits = np.zeros((B, M))
+        g_logits[rows, positives] -= g_term
+        g_logits = g_logits + ((g_term / means) / M)[:, None] * e
+        g_cands = g_logits[:, :, None] * qd[:, None, :]
+        g_queries = (g_logits[:, :, None] * cd).sum(axis=1)
+        return g_queries, g_cands.reshape(B * M, d)
 
-def mean_retrieval_loss(batch) -> Tensor:
-    """Average the retrieval loss over (query_emb, candidate_embs, labels) triples."""
-    if not batch:
-        raise ValidationError("retrieval: empty batch")
-    total = None
-    for q, cands, labels in batch:
-        term = retrieval_loss(q, cands, labels)
-        total = term if total is None else ad.add(total, term)
-    return ad.scale(total, 1.0 / len(batch))
+    return ad._apply("mean_retrieval_loss", np.array([[c * total]]), (q, cands), vjp)
 
 
 def combined_loss(retrieval, cca, mae, weights: LossWeights) -> Tensor:

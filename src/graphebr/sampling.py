@@ -116,58 +116,120 @@ def khop_subgraph(graph: GraphStore, query: int, k: int, fanout, rng_seed) -> Su
     neighbors, drawn uniformly without replacement; `fanout=None` keeps all
     of them, which reproduces the exact breadth-first k-hop closure. Nodes
     come in first-visit order and edges in ascending (min, max) global-id
-    order; `_expand` documents the draw order, which the reference oracle
+    order; `_contexts` documents the draw order, which the reference oracle
     in tests/test_sampling.py (TestReferenceOracle) pins bitwise.
     """
-    query = int(query)
-    if not 0 <= query < graph.num_nodes:
-        raise ValidationError(f"khop: query id {query} out of range")
+    batch = khop_batch(graph, [query], k, fanout, [rng_seed])
+    return Subgraph(
+        local_features=batch.local_features,
+        local_edges=batch.local_edges,
+        global_ids=batch.global_ids,
+        query_locals=batch.query_locals,
+    )
+
+
+def khop_batch(graph: GraphStore, roots, k: int, fanout, seeds) -> BatchGraph:
+    """Stack the k-hop contexts of many roots, expanded in one lockstep pass.
+
+    Example i is exactly `khop_subgraph(graph, roots[i], k, fanout,
+    seeds[i])`, shifted by the rows of the examples before it; its root is
+    its first row and listed in `query_locals`. There are no candidates.
+    """
+    roots = np.asarray(roots, dtype=np.int64).ravel()
+    out_of_range = roots[(roots < 0) | (roots >= graph.num_nodes)]
+    if out_of_range.size:
+        raise ValidationError(f"khop: query id {out_of_range[0]} out of range")
+    example_of, ids, edges, _ = _contexts(graph, roots[:, None], k, fanout, seeds)
+    empty = np.zeros((len(roots), 0))
+    return BatchGraph(
+        local_features=graph.features[ids],
+        local_edges=edges,
+        global_ids=ids,
+        query_locals=np.searchsorted(example_of, np.arange(len(roots))),
+        example_of=example_of,
+        candidate_rows=empty.astype(np.int64),
+        labels=empty,
+    )
+
+
+def _contexts(graph: GraphStore, roots: np.ndarray, k: int, fanout, seeds, withheld=None):
+    """Expand one k-hop context per root in lockstep, then union each row's.
+
+    `roots` is (examples, contexts per example); context c (in row-major
+    order) draws from its own generator, seeded by seeds[c]. Hop by hop,
+    each frontier node whose degree exceeds `fanout` takes exactly one
+    `rng.choice` draw, in its context's frontier order; every other node
+    takes all its neighbors. Each context therefore draws what the plain
+    breadth-first loop that tests/test_sampling.py (TestReferenceOracle)
+    keeps as its bitwise reference does.
+
+    Each example unions its contexts in order: nodes in first-visit order;
+    edges are its distinct undirected pairs, minus its `withheld` (u, v)
+    row if given, as both directions of positions in the returned ids:
+    every (min, max) in ascending global-id order, then every (max, min).
+    Returns (example_of, ids, edges, edge example), grouped by example.
+    """
     if k < 1:
         raise ValidationError("khop: k must be at least 1")
     if fanout is not None and fanout < 1:
         raise ValidationError("khop: fanout must be at least 1")
-    ids, src, dst = _expand(graph, query, k, fanout, rng_seed)
     n = graph.num_nodes
-    return Subgraph(
-        local_features=graph.features[ids],
-        local_edges=_local_edges(ids, _edge_keys(src, dst, n), n),
-        global_ids=ids,
-        query_locals=np.array([0], dtype=np.int64),
-    )
-
-
-def _expand(graph: GraphStore, query: int, k: int, fanout, rng_seed):
-    """Raw k-hop expansion: (ids, src, dst) as global-id arrays.
-
-    `ids` lists nodes in first-visit order; `src`/`dst` hold every sampled
-    edge, repeats included. Hops are expanded frontier node by frontier
-    node in visit order, and each node whose degree exceeds `fanout` takes
-    exactly one `rng.choice` draw, so the draw stream and every output
-    equal those of the plain breadth-first loop that tests/test_sampling.py
-    (TestReferenceOracle) keeps as its bitwise reference.
-    """
-    rng = np.random.default_rng(rng_seed)
-    ids = frontier = np.array([query], dtype=np.int64)
-    srcs, dsts = [], []
+    indptr, indices = graph._indptr, graph._indices
+    rngs = {}
+    frontier = roots.ravel()
+    frontier_ctx = np.arange(len(frontier), dtype=np.int64)
+    seen = frontier_ctx * n + frontier
+    ctxs, ids, edge_ctxs, srcs, dsts = [frontier_ctx], [frontier], [], [], []
     for _ in range(k):
         if not len(frontier):
             break
-        parts = [graph.neighbors(u) for u in frontier]
+        starts = indptr[frontier]
+        degrees = indptr[frontier + 1] - starts
+        take = degrees if fanout is None else np.minimum(degrees, fanout)
+        ends = np.cumsum(take)
+        dst = indices[np.repeat(starts - (ends - take), take) + np.arange(ends[-1])]
         if fanout is not None:
-            parts = [
-                rng.choice(nbrs, size=fanout, replace=False) if len(nbrs) > fanout else nbrs
-                for nbrs in parts
-            ]
-        dst = np.concatenate(parts)
-        srcs.append(np.repeat(frontier, [len(nbrs) for nbrs in parts]))
+            capped = np.flatnonzero(degrees > fanout)
+            for c, start, stop, end in zip(
+                *(a[capped].tolist() for a in (frontier_ctx, starts, starts + degrees, ends))
+            ):
+                if c not in rngs:
+                    rngs[c] = np.random.default_rng(seeds[c])
+                draw = rngs[c].choice(indices[start:stop], size=fanout, replace=False)
+                dst[end - fanout : end] = draw
+        dst_ctx = np.repeat(frontier_ctx, take)
+        edge_ctxs.append(dst_ctx)
+        srcs.append(np.repeat(frontier, take))
         dsts.append(dst)
-        # Seen ids are distinct and come first, so they keep their places and
-        # the ids after them are this hop's new nodes in first-visit order.
-        seen = len(ids)
-        ids = np.concatenate([ids, dst])
-        ids = ids[_first_occurrences(ids)]
-        frontier = ids[seen:]
-    return ids, np.concatenate(srcs), np.concatenate(dsts)
+        # Seen keys are distinct and come first, so the first occurrences
+        # after them are this hop's new nodes, by context in visit order.
+        keys = dst_ctx * n + dst
+        new = np.unique(np.concatenate([seen, keys]), return_index=True)[1]
+        new = np.sort(new[new >= len(seen)]) - len(seen)
+        seen = np.concatenate([seen, keys[new]])
+        frontier_ctx, frontier = dst_ctx[new], dst[new]
+        ctxs.append(frontier_ctx)
+        ids.append(frontier)
+
+    width = roots.shape[1]
+    ctx = np.concatenate(ctxs)
+    by_ctx = np.argsort(ctx, kind="stable")
+    example_of, ids = ctx[by_ctx] // width, np.concatenate(ids)[by_ctx]
+    keys = example_of * n + ids
+    first = _first_occurrences(keys)
+    example_of, ids, keys = example_of[first], ids[first], keys[first]
+    edge_example = np.concatenate(edge_ctxs) // width
+    pairs = edge_example * n * n + _edge_keys(np.concatenate(srcs), np.concatenate(dsts), n)
+    if withheld is not None:
+        withheld = np.arange(len(withheld)) * n * n + _edge_keys(*withheld.T, n)
+        pairs = pairs[pairs != withheld[edge_example]]
+    pair_example, rest = np.divmod(np.unique(pairs), n * n)
+    lo, hi = np.divmod(rest, n)
+    lo = _positions(keys, pair_example * n + lo)
+    hi = _positions(keys, pair_example * n + hi)
+    both = np.concatenate([pair_example, pair_example])
+    by_example = np.argsort(both, kind="stable")
+    return example_of, ids, _both_directions(lo, hi)[by_example], both[by_example]
 
 
 def _first_occurrences(a: np.ndarray) -> np.ndarray:
@@ -189,12 +251,6 @@ def _positions(ids: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def _both_directions(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.column_stack([np.concatenate([lo, hi]), np.concatenate([hi, lo])])
-
-
-def _local_edges(ids: np.ndarray, keys: np.ndarray, n: int) -> np.ndarray:
-    """Both directions of every distinct edge key, relabelled to positions in ids."""
-    keys = np.unique(keys)
-    return _both_directions(*_positions(ids, np.stack([keys // n, keys % n])))
 
 
 def whole_graph_subgraph(graph: GraphStore) -> Subgraph:
@@ -233,65 +289,87 @@ def sample_retrieval_example(
     negatives, and a merged subgraph giving every candidate its own k-hop
     context, with the positive edge withheld from the edge set.
 
-    The merged subgraph unions the query's context and then each
-    candidate's, in that order: nodes keep their first-visit order, edges
-    are distinct and ascending. Negatives are drawn as ranks among the
-    non-neighbors, which consumes the same draws as choosing from the
-    sorted complement. Every draw therefore matches the per-context
-    dict-based union that tests/test_sampling.py (TestReferenceOracle)
-    keeps as its bitwise reference.
+    The one-example case of `sample_retrieval_examples`.
     """
-    query = int(query)
+    return sample_retrieval_examples(graph, [query], num_negatives, k, fanout, [rng_seed])[0]
+
+
+def sample_retrieval_examples(
+    graph: GraphStore, queries, num_negatives: int, k: int, fanout, seeds
+) -> list:
+    """One retrieval example per query, each seeded by its entry of `seeds`.
+
+    Each example's candidates are drawn first, in query order; then the
+    k-hop contexts of every query and candidate are expanded in one
+    lockstep pass. Each merged subgraph unions its query's context and
+    then each candidate's, in that order: nodes keep their first-visit
+    order, edges are distinct and ascending. Negatives are drawn as ranks
+    among the non-neighbors, which consumes the same draws as choosing
+    from the sorted complement. Every draw therefore matches the
+    per-context dict-based union that tests/test_sampling.py
+    (TestReferenceOracle) keeps as its bitwise reference. Raises
+    SkipExample if a query has no neighbors.
+    """
     n = graph.num_nodes
-    if not 0 <= query < n:
-        raise ValidationError(f"retrieval example: query id {query} out of range")
     if num_negatives < 0:
         raise ValidationError("retrieval example: num_negatives must be >= 0")
-    nbrs = graph.neighbors(query)
-    if len(nbrs) == 0:
-        raise SkipExample(f"query {query} has no neighbors")
-
-    if isinstance(rng_seed, np.random.SeedSequence):
-        seeds = rng_seed.spawn(3)
-    else:
-        seeds = np.random.SeedSequence(rng_seed).spawn(3)
-    rng = np.random.default_rng(seeds[0])
-    positive = int(rng.choice(nbrs))
-    excluded = np.unique(np.append(nbrs, query))
-    available = n - len(excluded)
-    if available < num_negatives:
-        raise ValidationError(
-            f"retrieval example: only {available} non-neighbors available"
+    roots, context_seeds = [], []
+    for query, seed in zip(queries, seeds):
+        query = int(query)
+        if not 0 <= query < n:
+            raise ValidationError(f"retrieval example: query id {query} out of range")
+        nbrs = graph.neighbors(query)
+        if len(nbrs) == 0:
+            raise SkipExample(f"query {query} has no neighbors")
+        if not isinstance(seed, np.random.SeedSequence):
+            seed = np.random.SeedSequence(seed)
+        draw_seed, context_seed, _ = seed.spawn(3)
+        rng = np.random.default_rng(draw_seed)
+        positive = int(rng.choice(nbrs))
+        excluded = np.unique(np.append(nbrs, query))
+        available = n - len(excluded)
+        if available < num_negatives:
+            raise ValidationError(
+                f"retrieval example: only {available} non-neighbors available"
+            )
+        ranks = (
+            rng.choice(available, size=num_negatives, replace=False)
+            if num_negatives
+            else np.zeros(0, dtype=np.int64)
         )
-    ranks = (
-        rng.choice(available, size=num_negatives, replace=False)
-        if num_negatives
-        else np.zeros(0, dtype=np.int64)
-    )
-    # The r-th non-neighbor skips every excluded id e_j with e_j - j <= r.
-    negatives = ranks + np.searchsorted(excluded - np.arange(len(excluded)), ranks, side="right")
-    candidates = np.concatenate([[positive], negatives]).astype(np.int64)
+        # The r-th non-neighbor skips every excluded id e_j with e_j - j <= r.
+        negatives = ranks + np.searchsorted(excluded - np.arange(len(excluded)), ranks, side="right")
+        roots.append(np.concatenate([[query, positive], negatives]))
+        context_seeds.extend(context_seed.spawn(2 + num_negatives))
 
-    context_seeds = seeds[1].spawn(1 + len(candidates))
-    roots = np.concatenate([[query], candidates])
-    contexts = [_expand(graph, int(r), k, fanout, s) for r, s in zip(roots, context_seeds)]
-    ids, src, dst = (np.concatenate(parts) for parts in zip(*contexts))
-    ids = ids[_first_occurrences(ids)]
-    keys = _edge_keys(src, dst, n)
-    keys = keys[keys != _edge_keys(query, positive, n)]
-    merged = Subgraph(
-        local_features=graph.features[ids],
-        local_edges=_local_edges(ids, keys, n),
-        global_ids=ids,
-        query_locals=np.array([0], dtype=np.int64),
+    roots = np.array(roots, dtype=np.int64)
+    num, width = roots.shape
+    example_of, ids, edges, edge_example = _contexts(
+        graph, roots, k, fanout, context_seeds, withheld=roots[:, :2]
     )
-    labels = np.zeros(len(candidates))
+    starts = np.searchsorted(example_of, np.arange(num + 1))
+    edge_starts = np.searchsorted(edge_example, np.arange(num + 1))
+    candidate_rows = _positions(
+        example_of * n + ids, (np.arange(num)[:, None] * n + roots[:, 1:]).ravel()
+    ).reshape(num, width - 1)
+    features = graph.features[ids]
+    labels = np.zeros(width - 1)
     labels[0] = 1.0
-    return RetrievalExample(
-        subgraph=merged,
-        candidate_locals=_positions(ids, candidates),
-        labels=labels,
-    )
+    examples = []
+    for i in range(num):
+        lo, hi = starts[i], starts[i + 1]
+        merged = Subgraph(
+            local_features=features[lo:hi],
+            local_edges=edges[edge_starts[i] : edge_starts[i + 1]] - lo,
+            global_ids=ids[lo:hi],
+            query_locals=np.array([0], dtype=np.int64),
+        )
+        examples.append(
+            RetrievalExample(
+                subgraph=merged, candidate_locals=candidate_rows[i] - lo, labels=labels.copy()
+            )
+        )
+    return examples
 
 
 def augment_edge_drop(sub, p: float, rng_seed):
@@ -330,25 +408,17 @@ def mask_query_features(sub):
 
 
 def merge_examples(examples) -> BatchGraph:
-    """Disjoint union of retrieval examples with batch-level bookkeeping."""
+    """Disjoint union of retrieval examples with batch-level bookkeeping.
+
+    Nodes are not deduplicated across examples; each example's local ids,
+    candidates included, shift by its row offset.
+    """
     if not examples:
         raise ValidationError("merge: need at least one example")
     widths = {len(ex.candidate_locals) for ex in examples}
     if len(widths) != 1:
         raise ValidationError("merge: examples disagree on candidate count")
-    return stack_subgraphs(
-        [ex.subgraph for ex in examples],
-        candidate_rows=np.vstack([ex.candidate_locals for ex in examples]),
-        labels=np.vstack([ex.labels for ex in examples]),
-    )
-
-
-def stack_subgraphs(subs, candidate_rows, labels) -> BatchGraph:
-    """Stack subgraphs into one BatchGraph without deduplicating nodes.
-
-    `candidate_rows` (one row per subgraph) are local ids, shifted here by
-    each subgraph's row offset like every subgraph's `query_locals`.
-    """
+    subs = [ex.subgraph for ex in examples]
     sizes = [sub.num_nodes for sub in subs]
     offsets = np.cumsum([0] + sizes[:-1])
     return BatchGraph(
@@ -357,6 +427,6 @@ def stack_subgraphs(subs, candidate_rows, labels) -> BatchGraph:
         global_ids=np.concatenate([sub.global_ids for sub in subs]),
         query_locals=np.concatenate([sub.query_locals + o for sub, o in zip(subs, offsets)]),
         example_of=np.repeat(np.arange(len(subs), dtype=np.int64), sizes),
-        candidate_rows=np.asarray(candidate_rows, dtype=np.int64) + offsets[:, None],
-        labels=np.asarray(labels, dtype=np.float64),
+        candidate_rows=np.vstack([ex.candidate_locals for ex in examples]) + offsets[:, None],
+        labels=np.vstack([ex.labels for ex in examples]),
     )

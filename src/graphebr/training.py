@@ -11,6 +11,7 @@ continues the exact sequence of an uninterrupted run.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -38,7 +39,8 @@ from .sampling import (
     augment_feature_drop,
     mask_query_features,
     merge_examples,
-    sample_retrieval_example,
+    sample_retrieval_example,  # one example, for loss_gradient_cases; steps use the batch form
+    sample_retrieval_examples,
 )
 
 TASKS = ("retrieval", "cca", "mae")
@@ -79,10 +81,10 @@ class TrainConfig:
             raise ValidationError("train config: steps must be >= 1")
         if self.batch_size < 1:
             raise ValidationError("train config: batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValidationError("train config: learning_rate must be positive")
-        if self.clip_norm <= 0:
-            raise ValidationError("train config: clip_norm must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValidationError("train config: learning_rate must be finite and positive")
+        if not (math.isfinite(self.clip_norm) and self.clip_norm > 0):
+            raise ValidationError("train config: clip_norm must be finite and positive")
         if self.num_negatives < 1:
             raise ValidationError("train config: num_negatives must be >= 1")
         if self.checkpoint_every < 0:
@@ -133,7 +135,10 @@ def _list_of(check):
 # JSON shape each annotated field accepts: (what the error calls it, check)
 _FIELD_TYPES = {
     "int": ("an integer", _is_int),
-    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "float": (
+        "a finite number",
+        lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
+    ),
     "int | None": ("an integer or null", lambda v: v is None or _is_int(v)),
     "tuple[str, ...]": ("a list of strings", _list_of(lambda v: isinstance(v, str))),
     "tuple[int, ...]": ("a list of integers", _list_of(_is_int)),
@@ -231,25 +236,26 @@ def step_seed_streams(seed: int, step_index: int):
 
 
 def _sample_batch(graph: GraphStore, cfg: TrainConfig, seed_stream):
-    """Assemble up to batch_size retrieval examples; None if all draws skip."""
+    """Assemble up to batch_size retrieval examples; None if all draws skip.
+
+    Queries without neighbors are skipped, but every draw, kept or not,
+    spawns one example seed from the stream.
+    """
     rng = np.random.default_rng(seed_stream)
-    examples = []
+    queries, seeds = [], []
     for _ in range(50 * cfg.batch_size):
-        if len(examples) == cfg.batch_size:
+        if len(queries) == cfg.batch_size:
             break
         query = int(rng.integers(graph.num_nodes))
-        try:
-            examples.append(
-                sample_retrieval_example(
-                    graph, query, cfg.num_negatives, cfg.k, cfg.fanout,
-                    seed_stream.spawn(1)[0],
-                )
-            )
-        except SkipExample:
-            continue
-    if not examples:
+        seed = seed_stream.spawn(1)[0]
+        if graph.degrees[query]:
+            queries.append(query)
+            seeds.append(seed)
+    if not queries:
         return None
-    return merge_examples(examples)
+    return merge_examples(
+        sample_retrieval_examples(graph, queries, cfg.num_negatives, cfg.k, cfg.fanout, seeds)
+    )
 
 
 def step_gradients(graph: GraphStore, params: EncoderParams, cfg: TrainConfig, step_index: int):
@@ -268,12 +274,11 @@ def step_gradients(graph: GraphStore, params: EncoderParams, cfg: TrainConfig, s
         retrieval = cca = mae = None
         if "retrieval" in active:
             Z = encode(params, batch)
-            triples = []
-            for row, cand_rows, labels in zip(batch.query_locals, batch.candidate_rows, batch.labels):
-                triples.append(
-                    (ad.gather_rows(Z, [row]), ad.gather_rows(Z, cand_rows), labels)
-                )
-            retrieval = mean_retrieval_loss(triples)
+            retrieval = mean_retrieval_loss(
+                ad.gather_rows(Z, batch.query_locals),
+                ad.gather_rows(Z, batch.candidate_rows),
+                batch.labels,
+            )
 
         aug = cfg.augmentation
         if "cca" in active:
@@ -496,11 +501,9 @@ def loss_gradient_cases(seed: int = 0) -> list:
     def retrieval_case(*tensors):
         Z = encode(rebuild(tensors), sub)
         return mean_retrieval_loss(
-            [(
-                ad.gather_rows(Z, sub.query_locals),
-                ad.gather_rows(Z, example.candidate_locals),
-                example.labels,
-            )]
+            ad.gather_rows(Z, sub.query_locals),
+            ad.gather_rows(Z, example.candidate_locals),
+            [example.labels],
         )
 
     seeds = np.random.SeedSequence([seed, 11]).spawn(3)

@@ -35,7 +35,7 @@ from graphebr.losses import (
     MaeConfig,
     cca_loss,
     mae_loss,
-    retrieval_loss,
+    mean_retrieval_loss,
 )
 from graphebr.sampling import (
     augment_edge_drop,
@@ -89,7 +89,7 @@ def test_losses_hit_closed_form_values():
             labels = np.zeros(m)
             labels[0] = 1.0
             # zero query makes every logit zero, hence a uniform softmax
-            loss = retrieval_loss(Tensor(np.zeros((1, 5))), candidates, labels).data.item()
+            loss = mean_retrieval_loss(Tensor(np.zeros((1, 5))), candidates, [labels]).data.item()
             if abs(loss - math.log(m)) >= 1e-9:
                 failures.append(f"retrieval M={m}: {loss!r}")
 

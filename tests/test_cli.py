@@ -144,8 +144,12 @@ class TestRunConfig:
             ("steps", "ten", "steps must be an integer"),
             ("steps", 2.5, "steps must be an integer"),
             ("fanout", "x", "fanout must be an integer or null"),
-            ("weights", {"alpha": "x"}, "weights.alpha must be a number"),
-            ("augmentation", {"edge_drop_prob": None}, "augmentation.edge_drop_prob must be a number"),
+            ("weights", {"alpha": "x"}, "weights.alpha must be a finite number"),
+            ("augmentation", {"edge_drop_prob": None}, "augmentation.edge_drop_prob must be a finite number"),
+            ("weights", {"beta": float("nan")}, "weights.beta must be a finite number"),
+            ("learning_rate", float("nan"), "learning_rate must be a finite number"),
+            ("clip_norm", float("inf"), "clip_norm must be a finite number"),
+            ("mae", {"y_exponent": float("nan")}, "mae.y_exponent must be a finite number"),
         ):
             raw = base_config(tmp_path)
             raw["train"][block] = value

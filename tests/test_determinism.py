@@ -31,12 +31,38 @@ EXPECTED_LOSSES = [
 EXPECTED_PARAMS_SHA256 = "d2cbc826ee4465e7070c9d53a4f1f15d97d6a43a0db4e7fd608bb63837227d5f"
 EXPECTED_TABLE_SHA256 = "70fdd6015b027bc4bea47f245c990afcb4debd1e45aa2f4bca101f004e00d5e0"
 
+# Retrieval only at fanout=None: every context is its exact k-hop closure, so
+# the sampler draws no rng.choice. Recorded on the same machine as above,
+# before the k-hop expansion and the retrieval loss were batched.
+EXPECTED_UNCAPPED_LOSSES = [
+    "0x1.9ac14ff975962p+0", "0x1.861d375cb7897p+0", "0x1.89487397f6a74p+0",
+    "0x1.90dcc9fa70c03p+0", "0x1.6f114900da371p+0", "0x1.57a0cfd2537f2p+0",
+]
+EXPECTED_UNCAPPED_PARAMS_SHA256 = "189cea3fa4de277f2854e1a91c07500f9d33c2bbd858193dad6a813be35a38f9"
+EXPECTED_UNCAPPED_TABLE_SHA256 = "bfb3d78314a39319734b5fab430714ea284ff68a49fc30605b9ea8dce05655a2"
 
-def test_fixed_seed_multitask_run_is_bitwise_pinned():
-    graph = generate_synthetic_graph(
+
+def fixture_graph():
+    return generate_synthetic_graph(
         num_nodes=120, num_communities=2, p_in=0.15, p_out=0.02,
         feature_dim=8, cold_start_fraction=0.1, rng_seed=5,
     )
+
+
+def params_digest(params) -> str:
+    digest = hashlib.sha256()
+    for name, p in params.named_parameters().items():
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(p.data).tobytes())
+    return digest.hexdigest()
+
+
+def table_digest(table) -> str:
+    return hashlib.sha256(np.ascontiguousarray(table.vectors).tobytes()).hexdigest()
+
+
+def test_fixed_seed_multitask_run_is_bitwise_pinned():
+    graph = fixture_graph()
     # auxiliary weights of 0.5 make the CCA and MAE paths move the parameters
     cfg = TrainConfig(
         steps=8, batch_size=4, k=2, fanout=4, num_negatives=3,
@@ -50,12 +76,21 @@ def test_fixed_seed_multitask_run_is_bitwise_pinned():
     ]
     assert losses == EXPECTED_LOSSES
 
-    digest = hashlib.sha256()
-    for name, p in result.params.named_parameters().items():
-        digest.update(name.encode())
-        digest.update(np.ascontiguousarray(p.data).tobytes())
-    assert digest.hexdigest() == EXPECTED_PARAMS_SHA256
+    assert params_digest(result.params) == EXPECTED_PARAMS_SHA256
 
     table = export_embeddings(result, graph, k=cfg.k, fanout=cfg.fanout)
-    table_digest = hashlib.sha256(np.ascontiguousarray(table.vectors).tobytes()).hexdigest()
-    assert table_digest == EXPECTED_TABLE_SHA256
+    assert table_digest(table) == EXPECTED_TABLE_SHA256
+
+
+def test_fixed_seed_uncapped_retrieval_run_is_bitwise_pinned():
+    graph = fixture_graph()
+    cfg = TrainConfig(
+        steps=6, batch_size=8, k=2, fanout=None, num_negatives=4,
+        hidden_dims=(16,), embedding_dim=8, projection_dim=8, seed=29,
+        learning_rate=1e-2, enabled_tasks=("retrieval",),
+    )
+    result = train(graph, cfg)
+    assert [float(r["retrieval"]).hex() for r in result.history] == EXPECTED_UNCAPPED_LOSSES
+    assert params_digest(result.params) == EXPECTED_UNCAPPED_PARAMS_SHA256
+    table = export_embeddings(result, graph, k=cfg.k, fanout=cfg.fanout)
+    assert table_digest(table) == EXPECTED_UNCAPPED_TABLE_SHA256

@@ -13,8 +13,12 @@ from graphebr.losses import (
     make_report,
     mae_loss,
     mean_retrieval_loss,
-    retrieval_loss,
 )
+
+
+def retrieval_loss(q, cands, labels):
+    """The one-query (B = 1) case of the batched loss."""
+    return mean_retrieval_loss(q, cands, [labels])
 
 
 def brute_force_cca(Z_A, Z_B, lam, eps=1e-8):
@@ -90,16 +94,18 @@ class TestRetrievalLoss:
 
     def test_batched_form_averages(self):
         rng = np.random.default_rng(2)
-        triples = []
-        singles = []
-        for _ in range(3):
-            q = Tensor(rng.normal(size=(1, 4)))
-            c = Tensor(rng.normal(size=(5, 4)))
-            y = np.eye(5)[int(rng.integers(5))]
-            triples.append((q, c, y))
-            singles.append(retrieval_loss(q, c, y).item())
-        got = mean_retrieval_loss(triples).item()
-        assert abs(got - np.mean(singles)) < 1e-12
+        B, M = 3, 5
+        Q = rng.normal(size=(B, 4))
+        C = rng.normal(size=(B * M, 4))
+        Y = np.eye(M)[rng.integers(M, size=B)]
+        singles = [
+            retrieval_loss(Q[b : b + 1], C[b * M : (b + 1) * M], Y[b]).data for b in range(B)
+        ]
+        total = singles[0]
+        for single in singles[1:]:
+            total = total + single
+        got = mean_retrieval_loss(Q, C, Y).data
+        assert got.tobytes() == ((1.0 / B) * total).tobytes()
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -109,6 +115,24 @@ class TestRetrievalLoss:
             [rng.normal(size=(1, 4)), rng.normal(size=(6, 4))],
         )
         assert err < 1e-4
+
+    def test_batched_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(4)
+        labels = np.eye(5)[[0, 3, 3]]
+        err = ad.gradient_check(
+            lambda q, c: mean_retrieval_loss(q, c, labels),
+            [rng.normal(size=(3, 4)), rng.normal(size=(15, 4))],
+        )
+        assert err < 1e-4
+
+    def test_batch_shapes_validated(self):
+        q, c = Tensor(np.zeros((2, 3))), Tensor(np.zeros((8, 3)))
+        with pytest.raises(ShapeError):
+            mean_retrieval_loss(q, c, np.eye(4)[0])
+        with pytest.raises(ShapeError):
+            mean_retrieval_loss(q, c, np.eye(3)[[0, 1]])
+        with pytest.raises(ValidationError):
+            mean_retrieval_loss(Tensor(np.zeros((0, 3))), Tensor(np.zeros((0, 3))), np.zeros((0, 4)))
 
 
 class TestCcaLoss:
@@ -281,6 +305,11 @@ class TestCombinedLoss:
     def test_weight_validation(self):
         with pytest.raises(ValidationError):
             LossWeights(alpha=-1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="beta must be finite"):
+                LossWeights(beta=bad)
+            with pytest.raises(ValidationError, match="y_exponent must be finite"):
+                MaeConfig(y_exponent=bad)
         with pytest.raises(ValidationError):
             MaeConfig(y_exponent=0.5)
         with pytest.raises(ValidationError):

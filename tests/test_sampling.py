@@ -13,6 +13,7 @@ from graphebr.sampling import (
     sample_retrieval_example,
     whole_graph_subgraph,
 )
+from graphebr.training import TrainConfig, _sample_batch
 
 
 def path_graph(n):
@@ -318,7 +319,9 @@ def oracle_example(graph, query, num_negatives, k, fanout, rng_seed):
     """Reference example: setdiff1d negatives and a dict-based union of the
     per-root contexts. Returns (ids, local edges, candidate locals)."""
     nbrs = graph.neighbors(query)
-    seeds = np.random.SeedSequence(rng_seed).spawn(3)
+    if not isinstance(rng_seed, np.random.SeedSequence):
+        rng_seed = np.random.SeedSequence(rng_seed)
+    seeds = rng_seed.spawn(3)
     rng = np.random.default_rng(seeds[0])
     positive = int(rng.choice(nbrs))
     complement = np.setdiff1d(np.arange(graph.num_nodes), np.append(nbrs, query))
@@ -402,3 +405,41 @@ class TestReferenceOracle:
         g = generate_synthetic_graph(80, 2, 0.15, 0.03, 4, 0.1, rng_seed=3)
         for seed in range(60):
             self.check(g, seed % g.num_nodes, 2, fanout, 5, seed)
+
+    @pytest.mark.parametrize("fanout", [4, None])
+    def test_training_batch_matches_each_example(self, fanout):
+        """_sample_batch expands every example's contexts in one lockstep
+        pass; each example must still be the oracle's draw for its seed,
+        with isolated queries skipped and roots repeating across examples."""
+        base = generate_synthetic_graph(24, 2, 0.3, 0.05, 4, 0.0, rng_seed=4)
+        g = GraphStore(np.vstack([base.features, np.ones((3, 4))]), base.undirected_edges())
+        repeated_roots = skipped = 0
+        for k in (1, 2, 3):
+            for entropy in range(4):
+                cfg = TrainConfig(batch_size=10, k=k, fanout=fanout, num_negatives=3)
+                batch = _sample_batch(g, cfg, np.random.SeedSequence(entropy))
+                stream = np.random.SeedSequence(entropy)
+                rng = np.random.default_rng(stream)
+                want = []
+                while len(want) < cfg.batch_size:
+                    query = int(rng.integers(g.num_nodes))
+                    seed = stream.spawn(1)[0]
+                    if g.degrees[query]:
+                        want.append((query, oracle_example(g, query, 3, k, fanout, seed)))
+                    else:
+                        skipped += 1
+                roots = []
+                for i, (query, (ids, edges, cand_locals)) in enumerate(want):
+                    rows = np.flatnonzero(batch.example_of == i)
+                    offset = rows[0]
+                    assert_bitwise(batch.global_ids[rows], ids)
+                    first_end = batch.local_edges[:, 0]
+                    in_example = (first_end >= offset) & (first_end <= rows[-1])
+                    assert_bitwise(batch.local_edges[in_example] - offset, edges)
+                    assert_bitwise(batch.candidate_rows[i] - offset, cand_locals)
+                    assert batch.query_locals[i] == offset and ids[0] == query
+                    roots.append({query, *(ids[c] for c in cand_locals)})
+                sizes = [len(ids) for _, (ids, _, _) in want]
+                assert_bitwise(batch.example_of, np.repeat(np.arange(len(want)), sizes))
+                repeated_roots += sum(len(a & b) for i, a in enumerate(roots) for b in roots[i + 1 :])
+        assert repeated_roots > 0 and skipped > 0

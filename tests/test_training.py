@@ -119,6 +119,10 @@ class TestTrainConfig:
             ({"enabled_tasks": [["retrieval"]]}, "enabled_tasks"),
             ({"weights": {"alpha": "x"}}, "weights.alpha"),
             ({"augmentation": {"edge_drop_prob": None}}, "augmentation.edge_drop_prob"),
+            ({"weights": {"beta": float("nan")}}, "weights.beta"),
+            ({"learning_rate": float("nan")}, "learning_rate"),
+            ({"clip_norm": float("inf")}, "clip_norm"),
+            ({"mae": {"y_exponent": float("nan")}}, "mae.y_exponent"),
         ):
             raw = {**config_to_dict(small_config()), **patch}
             with pytest.raises(ValidationError, match=rf"train config: {named} must be"):
