@@ -56,7 +56,6 @@ from .losses import (
 )
 from .sampling import (
     AugmentationConfig,
-    RetrievalExample,
     Subgraph,
     khop_subgraph,
     sample_retrieval_example,
@@ -87,7 +86,6 @@ __all__ = [
     "LossWeights",
     "MaeConfig",
     "NumericError",
-    "RetrievalExample",
     "ShapeError",
     "SkipExample",
     "Subgraph",

@@ -46,6 +46,7 @@ from .index import (
 )
 from .training import (
     TrainConfig,
+    check_json_types,
     config_from_dict,
     load_checkpoint,
     loss_gradient_cases,
@@ -54,7 +55,10 @@ from .training import (
 
 GRADCHECK_TOLERANCE = 1e-4
 
-_SYNTHETIC_REQUIRED = ("num_nodes", "p_in", "p_out", "feature_dim")
+_SYNTHETIC_TYPES = {
+    "num_nodes": "int", "p_in": "float", "p_out": "float", "feature_dim": "int",
+    "num_communities": "int", "cold_start_fraction": "float", "seed": "int",
+}
 _SYNTHETIC_DEFAULTS = {"num_communities": 2, "cold_start_fraction": 0.0, "seed": 0}
 
 
@@ -97,13 +101,13 @@ class RunConfig:
         else:
             if not isinstance(self.synthetic, dict):
                 raise ValidationError("run config: synthetic must be an object")
-            allowed = set(_SYNTHETIC_REQUIRED) | set(_SYNTHETIC_DEFAULTS)
-            unknown = set(self.synthetic) - allowed
+            unknown = set(self.synthetic) - set(_SYNTHETIC_TYPES)
             if unknown:
                 raise ValidationError(f"run config: unknown synthetic fields {sorted(unknown)}")
-            missing = set(_SYNTHETIC_REQUIRED) - set(self.synthetic)
+            missing = set(_SYNTHETIC_TYPES) - set(_SYNTHETIC_DEFAULTS) - set(self.synthetic)
             if missing:
                 raise ValidationError(f"run config: synthetic block missing {sorted(missing)}")
+            check_json_types("run config: synthetic.", _SYNTHETIC_TYPES, self.synthetic)
         if not 0.0 < self.holdout_fraction < 0.5:
             raise ValidationError("run config: holdout_fraction must lie in (0, 0.5)")
         if self.split_seed < 0:
@@ -131,6 +135,7 @@ def run_config_from_dict(raw) -> RunConfig:
     if eval_raw is None:
         settings = EvalSettings()
     elif isinstance(eval_raw, dict):
+        check_json_types("run config: eval.", EvalSettings, eval_raw)
         try:
             settings = EvalSettings(**eval_raw)
         except TypeError as exc:

@@ -32,7 +32,7 @@ _SCAN_ENTRIES = 1 << 19
 class EvalSettings:
     """Scoring knobs; every field feeds the config fingerprint."""
 
-    k_values: tuple = (1, 5, 10, 20)
+    k_values: tuple[int, ...] = (1, 5, 10, 20)
     cold_start_threshold: int = 2
     mrr_cap: int = 100
 

@@ -3,7 +3,7 @@ stochastic augmentations used by the auxiliary training objectives."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -13,86 +13,66 @@ from .graph import GraphStore
 
 @dataclass(frozen=True)
 class Subgraph:
-    """A sampled neighborhood with local node re-indexing.
+    """Sampled neighborhoods of one or more examples, re-indexed locally.
 
-    `local_edges` materializes both directions of every undirected edge.
-    Roots used as retrieval or masking targets are listed in `query_locals`.
+    Row i belongs to example `example_of[i]`. Examples are disjoint: a node
+    may repeat across examples, so per-example edge removals cannot leak
+    between them, but not within one. `local_edges` materializes both
+    directions of every undirected edge. Roots used as retrieval or masking
+    targets are listed in `query_locals`. Row b of `candidate_rows` holds
+    example b's candidate rows, and the same row of `labels` marks its one
+    positive. With the last three omitted, a subgraph is one example with
+    no candidates.
     """
 
     local_features: np.ndarray
     local_edges: np.ndarray
     global_ids: np.ndarray
     query_locals: np.ndarray
+    example_of: np.ndarray = None
+    candidate_rows: np.ndarray = None
+    labels: np.ndarray = None
 
     def __post_init__(self):
-        object.__setattr__(self, "local_features", np.asarray(self.local_features, dtype=np.float64))
-        object.__setattr__(self, "local_edges", np.asarray(self.local_edges, dtype=np.int64).reshape(-1, 2))
-        object.__setattr__(self, "global_ids", np.asarray(self.global_ids, dtype=np.int64))
-        object.__setattr__(self, "query_locals", np.asarray(self.query_locals, dtype=np.int64))
         m = len(self.global_ids)
-        if self.local_features.shape[0] != m:
+        omitted = {"example_of": m, "candidate_rows": (1, 0), "labels": (1, 0)}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            value = np.zeros(omitted[f.name]) if value is None else value
+            dtype = np.float64 if f.name in ("local_features", "labels") else np.int64
+            object.__setattr__(self, f.name, np.asarray(value, dtype=dtype))
+        object.__setattr__(self, "local_edges", self.local_edges.reshape(-1, 2))
+        if self.local_features.shape[0] != m or len(self.example_of) != m:
             raise ValidationError("subgraph: per-node arrays disagree on node count")
-        if len(np.unique(self.global_ids)) != m:
-            raise ValidationError("subgraph: global_ids must be injective")
-        if self.local_edges.size and (
-            self.local_edges.min() < 0 or self.local_edges.max() >= m
+        if m:
+            # one int64 key per (example, global id); sorting is much
+            # cheaper than np.unique, and replace() re-runs this check
+            ids = self.global_ids - self.global_ids.min()
+            keys = np.sort(self.example_of * (int(ids.max()) + 1) + ids)
+            if (keys[1:] == keys[:-1]).any():
+                raise ValidationError("subgraph: global_ids repeat within an example")
+        for what, rows in (
+            ("edge endpoint", self.local_edges),
+            ("query node", self.query_locals),
+            ("candidate", self.candidate_rows),
         ):
-            raise ValidationError("subgraph: edge endpoint out of range")
-        if self.query_locals.size and (
-            self.query_locals.min() < 0 or self.query_locals.max() >= m
+            if rows.size and (rows.min() < 0 or rows.max() >= m):
+                raise ValidationError(f"subgraph: {what} out of range")
+        labels = self.labels
+        if self.candidate_rows.ndim != 2 or labels.shape != self.candidate_rows.shape:
+            raise ValidationError("subgraph: labels misaligned with candidates")
+        if labels.size and not (
+            ((labels == 0.0) | (labels == 1.0)).all() and (labels.sum(axis=1) == 1.0).all()
         ):
-            raise ValidationError("subgraph: query node out of range")
+            raise ValidationError("subgraph: labels must be one-hot")
 
     @property
     def num_nodes(self) -> int:
         return len(self.global_ids)
 
     def canonical_order(self) -> np.ndarray:
-        """Permutation placing locals in ascending global-id order."""
-        return np.argsort(self.global_ids)
-
-
-@dataclass(frozen=True)
-class BatchGraph:
-    """Disjoint union of several example subgraphs for one training step.
-
-    Nodes are deliberately not deduplicated across examples, so per-example
-    edge removals cannot leak between examples; `example_of` records each
-    node's source example.
-    """
-
-    local_features: np.ndarray
-    local_edges: np.ndarray
-    global_ids: np.ndarray
-    query_locals: np.ndarray
-    example_of: np.ndarray
-    candidate_rows: np.ndarray
-    labels: np.ndarray
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.global_ids)
-
-    def canonical_order(self) -> np.ndarray:
+        """Permutation placing rows by example, then by ascending global id."""
         return np.lexsort((self.global_ids, self.example_of))
-
-
-@dataclass(frozen=True)
-class RetrievalExample:
-    """One query with M candidates, exactly one of which is a held neighbor."""
-
-    subgraph: Subgraph
-    candidate_locals: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "candidate_locals", np.asarray(self.candidate_locals, dtype=np.int64))
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.float64))
-        if self.labels.shape != self.candidate_locals.shape:
-            raise ValidationError("retrieval example: labels misaligned with candidates")
-        positives = np.flatnonzero(self.labels == 1.0)
-        if len(positives) != 1 or not np.all(np.isin(self.labels, (0.0, 1.0))):
-            raise ValidationError("retrieval example: labels must be one-hot")
 
 
 @dataclass(frozen=True)
@@ -119,36 +99,51 @@ def khop_subgraph(graph: GraphStore, query: int, k: int, fanout, rng_seed) -> Su
     order; `_contexts` documents the draw order, which the reference oracle
     in tests/test_sampling.py (TestReferenceOracle) pins bitwise.
     """
-    batch = khop_batch(graph, [query], k, fanout, [rng_seed])
-    return Subgraph(
-        local_features=batch.local_features,
-        local_edges=batch.local_edges,
-        global_ids=batch.global_ids,
-        query_locals=batch.query_locals,
-    )
+    return khop_batch(graph, [query], k, fanout, [rng_seed])
 
 
-def khop_batch(graph: GraphStore, roots, k: int, fanout, seeds) -> BatchGraph:
+def khop_batch(graph: GraphStore, roots, k: int, fanout, seeds) -> Subgraph:
     """Stack the k-hop contexts of many roots, expanded in one lockstep pass.
 
     Example i is exactly `khop_subgraph(graph, roots[i], k, fanout,
-    seeds[i])`, shifted by the rows of the examples before it; its root is
-    its first row and listed in `query_locals`. There are no candidates.
+    seeds[i])`, shifted by the rows of the examples before it. There are no
+    candidates.
     """
-    roots = np.asarray(roots, dtype=np.int64).ravel()
-    out_of_range = roots[(roots < 0) | (roots >= graph.num_nodes)]
+    return merge_examples(graph, np.asarray(roots, dtype=np.int64).reshape(-1, 1), k, fanout, seeds)
+
+
+def merge_examples(graph: GraphStore, roots, k: int, fanout, seeds) -> Subgraph:
+    """Build the batch whose example b unions the k-hop contexts of row b
+    of `roots` (examples, width): its query, then its candidates, positive
+    first.
+
+    Context c, in row-major order, draws from seeds[c]. Each example's query
+    is its first row and listed in `query_locals`; `candidate_rows` locate
+    the rest of its roots and `labels` mark the first of them as positive.
+    With two or more roots per example, the query-positive edge is withheld
+    from that example's edges.
+    """
+    roots = np.asarray(roots, dtype=np.int64)
+    num, width = roots.shape
+    n = graph.num_nodes
+    out_of_range = roots[(roots < 0) | (roots >= n)]
     if out_of_range.size:
         raise ValidationError(f"khop: query id {out_of_range[0]} out of range")
-    example_of, ids, edges, _ = _contexts(graph, roots[:, None], k, fanout, seeds)
-    empty = np.zeros((len(roots), 0))
-    return BatchGraph(
+    withheld = roots[:, :2] if width > 1 else None
+    example_of, ids, edges = _contexts(graph, roots, k, fanout, seeds, withheld)
+    candidate_rows = _positions(
+        example_of * n + ids, (np.arange(num)[:, None] * n + roots[:, 1:]).ravel()
+    )
+    labels = np.zeros((num, width - 1))
+    labels[:, :1] = 1.0
+    return Subgraph(
         local_features=graph.features[ids],
         local_edges=edges,
         global_ids=ids,
-        query_locals=np.searchsorted(example_of, np.arange(len(roots))),
+        query_locals=np.searchsorted(example_of, np.arange(num)),
         example_of=example_of,
-        candidate_rows=empty.astype(np.int64),
-        labels=empty,
+        candidate_rows=candidate_rows.reshape(num, width - 1),
+        labels=labels,
     )
 
 
@@ -167,7 +162,7 @@ def _contexts(graph: GraphStore, roots: np.ndarray, k: int, fanout, seeds, withh
     edges are its distinct undirected pairs, minus its `withheld` (u, v)
     row if given, as both directions of positions in the returned ids:
     every (min, max) in ascending global-id order, then every (max, min).
-    Returns (example_of, ids, edges, edge example), grouped by example.
+    Returns (example_of, ids, edges), grouped by example.
     """
     if k < 1:
         raise ValidationError("khop: k must be at least 1")
@@ -229,7 +224,7 @@ def _contexts(graph: GraphStore, roots: np.ndarray, k: int, fanout, seeds, withh
     hi = _positions(keys, pair_example * n + hi)
     both = np.concatenate([pair_example, pair_example])
     by_example = np.argsort(both, kind="stable")
-    return example_of, ids, _both_directions(lo, hi)[by_example], both[by_example]
+    return example_of, ids, _both_directions(lo, hi)[by_example]
 
 
 def _first_occurrences(a: np.ndarray) -> np.ndarray:
@@ -284,31 +279,28 @@ def sample_retrieval_example(
     k: int,
     fanout,
     rng_seed,
-) -> RetrievalExample:
+) -> Subgraph:
     """Build one training example: a positive neighbor, uniform non-neighbor
     negatives, and a merged subgraph giving every candidate its own k-hop
     context, with the positive edge withheld from the edge set.
 
-    The one-example case of `sample_retrieval_examples`.
+    The one-query case of `sample_retrieval_examples` then `merge_examples`.
     """
-    return sample_retrieval_examples(graph, [query], num_negatives, k, fanout, [rng_seed])[0]
+    roots, seeds = sample_retrieval_examples(graph, [query], num_negatives, [rng_seed])
+    return merge_examples(graph, roots, k, fanout, seeds)
 
 
-def sample_retrieval_examples(
-    graph: GraphStore, queries, num_negatives: int, k: int, fanout, seeds
-) -> list:
-    """One retrieval example per query, each seeded by its entry of `seeds`.
+def sample_retrieval_examples(graph: GraphStore, queries, num_negatives: int, seeds):
+    """Draw each query's candidates, seeded by its entry of `seeds`.
 
-    Each example's candidates are drawn first, in query order; then the
-    k-hop contexts of every query and candidate are expanded in one
-    lockstep pass. Each merged subgraph unions its query's context and
-    then each candidate's, in that order: nodes keep their first-visit
-    order, edges are distinct and ascending. Negatives are drawn as ranks
-    among the non-neighbors, which consumes the same draws as choosing
-    from the sorted complement. Every draw therefore matches the
-    per-context dict-based union that tests/test_sampling.py
-    (TestReferenceOracle) keeps as its bitwise reference. Raises
-    SkipExample if a query has no neighbors.
+    Returns (roots, context seeds) for `merge_examples`: row b of roots is
+    query b, its positive, then its negatives; the context seeds are one per
+    root, in row-major order. Negatives are drawn as ranks among the
+    non-neighbors, which consumes the same draws as choosing from the
+    sorted complement. Every draw therefore matches the per-context
+    dict-based union that tests/test_sampling.py (TestReferenceOracle) keeps
+    as its bitwise reference. Raises SkipExample if a query has no
+    neighbors.
     """
     n = graph.num_nodes
     if num_negatives < 0:
@@ -341,35 +333,7 @@ def sample_retrieval_examples(
         negatives = ranks + np.searchsorted(excluded - np.arange(len(excluded)), ranks, side="right")
         roots.append(np.concatenate([[query, positive], negatives]))
         context_seeds.extend(context_seed.spawn(2 + num_negatives))
-
-    roots = np.array(roots, dtype=np.int64)
-    num, width = roots.shape
-    example_of, ids, edges, edge_example = _contexts(
-        graph, roots, k, fanout, context_seeds, withheld=roots[:, :2]
-    )
-    starts = np.searchsorted(example_of, np.arange(num + 1))
-    edge_starts = np.searchsorted(edge_example, np.arange(num + 1))
-    candidate_rows = _positions(
-        example_of * n + ids, (np.arange(num)[:, None] * n + roots[:, 1:]).ravel()
-    ).reshape(num, width - 1)
-    features = graph.features[ids]
-    labels = np.zeros(width - 1)
-    labels[0] = 1.0
-    examples = []
-    for i in range(num):
-        lo, hi = starts[i], starts[i + 1]
-        merged = Subgraph(
-            local_features=features[lo:hi],
-            local_edges=edges[edge_starts[i] : edge_starts[i + 1]] - lo,
-            global_ids=ids[lo:hi],
-            query_locals=np.array([0], dtype=np.int64),
-        )
-        examples.append(
-            RetrievalExample(
-                subgraph=merged, candidate_locals=candidate_rows[i] - lo, labels=labels.copy()
-            )
-        )
-    return examples
+    return np.array(roots, dtype=np.int64), context_seeds
 
 
 def augment_edge_drop(sub, p: float, rng_seed):
@@ -405,28 +369,3 @@ def mask_query_features(sub):
     masked = sub.local_features.copy()
     masked[sub.query_locals] = 0.0
     return replace(sub, local_features=masked), originals
-
-
-def merge_examples(examples) -> BatchGraph:
-    """Disjoint union of retrieval examples with batch-level bookkeeping.
-
-    Nodes are not deduplicated across examples; each example's local ids,
-    candidates included, shift by its row offset.
-    """
-    if not examples:
-        raise ValidationError("merge: need at least one example")
-    widths = {len(ex.candidate_locals) for ex in examples}
-    if len(widths) != 1:
-        raise ValidationError("merge: examples disagree on candidate count")
-    subs = [ex.subgraph for ex in examples]
-    sizes = [sub.num_nodes for sub in subs]
-    offsets = np.cumsum([0] + sizes[:-1])
-    return BatchGraph(
-        local_features=np.concatenate([sub.local_features for sub in subs]),
-        local_edges=np.concatenate([sub.local_edges + o for sub, o in zip(subs, offsets)]),
-        global_ids=np.concatenate([sub.global_ids for sub in subs]),
-        query_locals=np.concatenate([sub.query_locals + o for sub, o in zip(subs, offsets)]),
-        example_of=np.repeat(np.arange(len(subs), dtype=np.int64), sizes),
-        candidate_rows=np.vstack([ex.candidate_locals for ex in examples]) + offsets[:, None],
-        labels=np.vstack([ex.labels for ex in examples]),
-    )

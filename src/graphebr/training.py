@@ -85,6 +85,10 @@ class TrainConfig:
             raise ValidationError("train config: learning_rate must be finite and positive")
         if not (math.isfinite(self.clip_norm) and self.clip_norm > 0):
             raise ValidationError("train config: clip_norm must be finite and positive")
+        if self.k < 1:
+            raise ValidationError("train config: k must be >= 1")
+        if self.fanout is not None and self.fanout < 1:
+            raise ValidationError("train config: fanout must be >= 1 or null")
         if self.num_negatives < 1:
             raise ValidationError("train config: num_negatives must be >= 1")
         if self.checkpoint_every < 0:
@@ -145,12 +149,16 @@ _FIELD_TYPES = {
 }
 
 
-def _check_types(prefix: str, cls, raw: dict):
-    for f in fields(cls):
-        if f.name in raw and f.type in _FIELD_TYPES:
-            kind, ok = _FIELD_TYPES[f.type]
-            if not ok(raw[f.name]):
-                raise ValidationError(f"train config: {prefix}{f.name} must be {kind}")
+def check_json_types(where: str, spec, raw: dict):
+    """Reject a value of `raw` whose JSON shape does not fit its annotation
+    in `spec`, a dataclass or a name -> annotation dict; the error names the
+    field after the `where` prefix."""
+    types = spec if isinstance(spec, dict) else {f.name: f.type for f in fields(spec)}
+    for name, annotation in types.items():
+        if name in raw and annotation in _FIELD_TYPES:
+            kind, ok = _FIELD_TYPES[annotation]
+            if not ok(raw[name]):
+                raise ValidationError(f"{where}{name} must be {kind}")
 
 
 def config_from_dict(raw: dict) -> TrainConfig:
@@ -158,7 +166,7 @@ def config_from_dict(raw: dict) -> TrainConfig:
     unknown = set(raw) - {f.name for f in fields(TrainConfig)}
     if unknown:
         raise ValidationError(f"train config: unknown fields {sorted(unknown)}")
-    _check_types("", TrainConfig, raw)
+    check_json_types("train config: ", TrainConfig, raw)
     for key, cls in (
         ("weights", LossWeights),
         ("cca", CcaConfig),
@@ -172,7 +180,7 @@ def config_from_dict(raw: dict) -> TrainConfig:
         unknown = set(raw[key]) - {f.name for f in fields(cls)}
         if unknown:
             raise ValidationError(f"train config: unknown fields in {key}: {sorted(unknown)}")
-        _check_types(f"{key}.", cls, raw[key])
+        check_json_types(f"train config: {key}.", cls, raw[key])
         raw[key] = cls(**raw[key])
     return TrainConfig(**raw)
 
@@ -253,9 +261,8 @@ def _sample_batch(graph: GraphStore, cfg: TrainConfig, seed_stream):
             seeds.append(seed)
     if not queries:
         return None
-    return merge_examples(
-        sample_retrieval_examples(graph, queries, cfg.num_negatives, cfg.k, cfg.fanout, seeds)
-    )
+    roots, context_seeds = sample_retrieval_examples(graph, queries, cfg.num_negatives, seeds)
+    return merge_examples(graph, roots, cfg.k, cfg.fanout, context_seeds)
 
 
 def step_gradients(graph: GraphStore, params: EncoderParams, cfg: TrainConfig, step_index: int):
@@ -481,16 +488,15 @@ def loss_gradient_cases(seed: int = 0) -> list:
         num_nodes=24, num_communities=2, p_in=0.4, p_out=0.1,
         feature_dim=5, cold_start_fraction=0.0, rng_seed=seed,
     )
-    example = None
+    sub = None
     for query in range(graph.num_nodes):
         try:
-            example = sample_retrieval_example(graph, query, 3, 2, 4, seed)
+            sub = sample_retrieval_example(graph, query, 3, 2, 4, seed)
             break
         except SkipExample:
             continue
-    if example is None:
+    if sub is None:
         raise ValidationError("gradient cases: sampled graph has no usable query")
-    sub = example.subgraph
 
     base = init_params([5, 4, 3], (4, 3), np.random.SeedSequence([seed, 7]))
     names = list(base.named_parameters())
@@ -502,8 +508,8 @@ def loss_gradient_cases(seed: int = 0) -> list:
         Z = encode(rebuild(tensors), sub)
         return mean_retrieval_loss(
             ad.gather_rows(Z, sub.query_locals),
-            ad.gather_rows(Z, example.candidate_locals),
-            [example.labels],
+            ad.gather_rows(Z, sub.candidate_rows),
+            sub.labels,
         )
 
     seeds = np.random.SeedSequence([seed, 11]).spawn(3)

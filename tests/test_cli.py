@@ -158,6 +158,22 @@ class TestRunConfig:
             assert err.startswith("error: ") and err.strip().count("\n") == 0
             assert named in err
 
+    def test_mistyped_synthetic_and_eval_values_exit_one(self, tmp_path, capsys):
+        for block, name, value, named in (
+            ("synthetic", "num_nodes", "200", "synthetic.num_nodes must be an integer"),
+            ("synthetic", "seed", 1.5, "synthetic.seed must be an integer"),
+            ("synthetic", "p_in", "0.3", "synthetic.p_in must be a finite number"),
+            ("eval", "k_values", [1.5, 10], "eval.k_values must be a list of integers"),
+            ("eval", "mrr_cap", "10", "eval.mrr_cap must be an integer"),
+        ):
+            raw = base_config(tmp_path)
+            raw.setdefault(block, {})[name] = value
+            assert cli_main(["train", "--config", write_config(tmp_path, raw)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.strip().count("\n") == 0
+            assert f"run config: {named}" in err
+            assert not (tmp_path / "run").exists()
+
     def test_missing_config_file_exits_one(self, tmp_path, capsys):
         assert cli_main(["train", "--config", str(tmp_path / "absent.json")]) == 1
         assert_single_error_line(capsys)

@@ -15,7 +15,7 @@ import numpy as np
 from graphebr.graph import generate_synthetic_graph
 from graphebr.index import export_embeddings
 from graphebr.losses import LossWeights
-from graphebr.training import TrainConfig, train
+from graphebr.training import TrainConfig, _sample_batch, step_seed_streams, train
 
 # float.hex of (retrieval, cca, mae, combined) per executed step
 EXPECTED_LOSSES = [
@@ -41,6 +41,15 @@ EXPECTED_UNCAPPED_LOSSES = [
 EXPECTED_UNCAPPED_PARAMS_SHA256 = "189cea3fa4de277f2854e1a91c07500f9d33c2bbd858193dad6a813be35a38f9"
 EXPECTED_UNCAPPED_TABLE_SHA256 = "bfb3d78314a39319734b5fab430714ea284ff68a49fc30605b9ea8dce05655a2"
 
+# sha256 over the name, dtype, shape and bytes of every batch field for
+# steps 0-7 of the multitask config. Recorded on the same machine as above,
+# before the batch became one Subgraph built by one call.
+BATCH_FIELDS = (
+    "local_features", "local_edges", "global_ids", "query_locals",
+    "example_of", "candidate_rows", "labels",
+)
+EXPECTED_BATCHES_SHA256 = "30c70e1acbb3ad93c50f9ed6c12204f715b7ec3cee27bf939a976c633a0faad1"
+
 
 def fixture_graph():
     return generate_synthetic_graph(
@@ -61,14 +70,18 @@ def table_digest(table) -> str:
     return hashlib.sha256(np.ascontiguousarray(table.vectors).tobytes()).hexdigest()
 
 
-def test_fixed_seed_multitask_run_is_bitwise_pinned():
-    graph = fixture_graph()
+def multitask_config():
     # auxiliary weights of 0.5 make the CCA and MAE paths move the parameters
-    cfg = TrainConfig(
+    return TrainConfig(
         steps=8, batch_size=4, k=2, fanout=4, num_negatives=3,
         hidden_dims=(16,), embedding_dim=8, projection_dim=8, seed=71,
         learning_rate=1e-2, weights=LossWeights(alpha=1.0, beta=0.5, gamma=0.5),
     )
+
+
+def test_fixed_seed_multitask_run_is_bitwise_pinned():
+    graph = fixture_graph()
+    cfg = multitask_config()
     result = train(graph, cfg)
     losses = [
         [float(record[task]).hex() for task in ("retrieval", "cca", "mae", "combined")]
@@ -94,3 +107,17 @@ def test_fixed_seed_uncapped_retrieval_run_is_bitwise_pinned():
     assert params_digest(result.params) == EXPECTED_UNCAPPED_PARAMS_SHA256
     table = export_embeddings(result, graph, k=cfg.k, fanout=cfg.fanout)
     assert table_digest(table) == EXPECTED_UNCAPPED_TABLE_SHA256
+
+
+def test_fixed_seed_batches_are_bitwise_pinned():
+    graph, cfg = fixture_graph(), multitask_config()
+    digest = hashlib.sha256()
+    for step in range(cfg.steps):
+        batch = _sample_batch(graph, cfg, step_seed_streams(cfg.seed, step)[0])
+        for name in BATCH_FIELDS:
+            a = np.ascontiguousarray(getattr(batch, name))
+            digest.update(name.encode())
+            digest.update(a.dtype.str.encode())
+            digest.update(repr(a.shape).encode())
+            digest.update(a.tobytes())
+    assert digest.hexdigest() == EXPECTED_BATCHES_SHA256

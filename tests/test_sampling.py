@@ -9,7 +9,6 @@ from graphebr.sampling import (
     augment_feature_drop,
     khop_subgraph,
     mask_query_features,
-    merge_examples,
     sample_retrieval_example,
     whole_graph_subgraph,
 )
@@ -72,22 +71,22 @@ class TestRetrievalExample:
     def test_triangle_with_no_negatives(self):
         g = GraphStore(np.eye(3), [(0, 1), (1, 2), (0, 2)])
         ex = sample_retrieval_example(g, 0, num_negatives=0, k=1, fanout=None, rng_seed=0)
-        assert ex.labels.tolist() == [1.0]
+        assert ex.labels.tolist() == [[1.0]]
 
     def test_only_available_negative_is_chosen(self):
         clique = [(i, j) for i in range(4) for j in range(i + 1, 4)]
         g = GraphStore(np.eye(5), clique)
         ex = sample_retrieval_example(g, 0, num_negatives=1, k=1, fanout=None, rng_seed=3)
-        negative = ex.subgraph.global_ids[ex.candidate_locals[1]]
+        negative = ex.global_ids[ex.candidate_rows[0, 1]]
         assert negative == 4
 
     def test_fixed_seed_reproduces_example(self):
         g = generate_synthetic_graph(80, 2, 0.1, 0.02, 4, 0.0, rng_seed=2)
         a = sample_retrieval_example(g, 5, 4, k=2, fanout=5, rng_seed=11)
         b = sample_retrieval_example(g, 5, 4, k=2, fanout=5, rng_seed=11)
-        np.testing.assert_array_equal(a.subgraph.global_ids, b.subgraph.global_ids)
-        np.testing.assert_array_equal(a.subgraph.local_edges, b.subgraph.local_edges)
-        np.testing.assert_array_equal(a.candidate_locals, b.candidate_locals)
+        np.testing.assert_array_equal(a.global_ids, b.global_ids)
+        np.testing.assert_array_equal(a.local_edges, b.local_edges)
+        np.testing.assert_array_equal(a.candidate_rows, b.candidate_rows)
 
     def test_degree_zero_query_signals_skip(self):
         g = GraphStore(np.eye(3), [(0, 1)])
@@ -105,10 +104,10 @@ class TestRetrievalExample:
         for seed in range(1000):
             query = int(eligible[seed % len(eligible)])
             ex = sample_retrieval_example(g, query, 3, k=2, fanout=4, rng_seed=seed)
-            gids = ex.subgraph.global_ids
-            pos_global = int(gids[ex.candidate_locals[0]])
+            gids = ex.global_ids
+            pos_global = int(gids[ex.candidate_rows[0, 0]])
             pairs = {
-                (int(gids[a]), int(gids[b])) for a, b in ex.subgraph.local_edges
+                (int(gids[a]), int(gids[b])) for a, b in ex.local_edges
             }
             assert (query, pos_global) not in pairs
             assert (pos_global, query) not in pairs
@@ -117,8 +116,8 @@ class TestRetrievalExample:
     def test_negatives_are_non_neighbors(self):
         g = generate_synthetic_graph(60, 2, 0.15, 0.03, 4, 0.0, rng_seed=5)
         ex = sample_retrieval_example(g, 1, 5, k=1, fanout=None, rng_seed=9)
-        gids = ex.subgraph.global_ids
-        for local in ex.candidate_locals[1:]:
+        gids = ex.global_ids
+        for local in ex.candidate_rows[0, 1:]:
             assert not g.has_edge(1, int(gids[local]))
 
 
@@ -214,36 +213,6 @@ class TestMaskQueryFeatures:
         np.testing.assert_array_equal(originals, np.zeros((1, 3)))
 
 
-class TestMergeExamples:
-    def test_offsets_preserve_example_structure(self):
-        g = generate_synthetic_graph(60, 2, 0.15, 0.03, 4, 0.0, rng_seed=6)
-        examples = [
-            sample_retrieval_example(g, q, 3, k=1, fanout=None, rng_seed=q)
-            for q in (1, 2, 3)
-        ]
-        batch = merge_examples(examples)
-        assert batch.num_nodes == sum(ex.subgraph.num_nodes for ex in examples)
-        offset = 0
-        for i, ex in enumerate(examples):
-            np.testing.assert_array_equal(
-                batch.global_ids[offset : offset + ex.subgraph.num_nodes],
-                ex.subgraph.global_ids,
-            )
-            assert batch.query_locals[i] == ex.subgraph.query_locals[0] + offset
-            np.testing.assert_array_equal(
-                batch.candidate_rows[i], ex.candidate_locals + offset
-            )
-            assert (batch.example_of[offset : offset + ex.subgraph.num_nodes] == i).all()
-            offset += ex.subgraph.num_nodes
-
-    def test_rejects_mismatched_candidate_counts(self):
-        g = generate_synthetic_graph(60, 2, 0.15, 0.03, 4, 0.0, rng_seed=7)
-        a = sample_retrieval_example(g, 1, 2, k=1, fanout=None, rng_seed=0)
-        b = sample_retrieval_example(g, 2, 3, k=1, fanout=None, rng_seed=0)
-        with pytest.raises(ValidationError):
-            merge_examples([a, b])
-
-
 class TestWholeGraphSubgraph:
     def test_covers_all_nodes_and_edges(self):
         g = path_graph(5)
@@ -271,6 +240,44 @@ class TestSubgraphValidation:
                 global_ids=np.array([3, 3]),
                 query_locals=np.array([0]),
             )
+
+    def test_global_ids_distinct_within_each_example_only(self):
+        def batch(global_ids, example_of):
+            return Subgraph(
+                local_features=np.eye(4),
+                local_edges=np.zeros((0, 2), dtype=np.int64),
+                global_ids=np.array(global_ids),
+                query_locals=np.array([0, 2]),
+                example_of=np.array(example_of),
+            )
+
+        assert batch([3, 5, 3, 5], [0, 0, 1, 1]).num_nodes == 4
+        with pytest.raises(ValidationError, match="repeat within an example"):
+            batch([3, 5, 7, 7], [0, 0, 1, 1])
+        with pytest.raises(ValidationError, match="per-node arrays"):
+            batch([3, 5, 3, 5], [0, 0, 1])
+
+    def test_candidates_and_labels_checked(self):
+        def example(candidate_rows, labels):
+            return Subgraph(
+                local_features=np.eye(3),
+                local_edges=np.zeros((0, 2), dtype=np.int64),
+                global_ids=np.array([0, 1, 2]),
+                query_locals=np.array([0]),
+                candidate_rows=np.array(candidate_rows),
+                labels=np.array(labels, dtype=np.float64),
+            )
+
+        assert example([[1, 2]], [[1.0, 0.0]]).candidate_rows.shape == (1, 2)
+        for rows in ([[1, 3]], [[-1, 2]]):
+            with pytest.raises(ValidationError, match="candidate out of range"):
+                example(rows, [[1.0, 0.0]])
+        for labels in ([[1.0, 0.0, 0.0]], [1.0, 0.0]):
+            with pytest.raises(ValidationError, match="misaligned"):
+                example([[1, 2]], labels)
+        for labels in ([[1.0, 1.0]], [[0.0, 0.0]], [[0.5, 0.5]]):
+            with pytest.raises(ValidationError, match="one-hot"):
+                example([[1, 2]], labels)
 
     def test_query_locals_out_of_range_rejected(self):
         for query_locals in ([5], [-1], [0, 3]):
@@ -366,15 +373,14 @@ class TestReferenceOracle:
             return
         ex = sample_retrieval_example(graph, query, num_negatives, k, fanout, rng_seed=seed)
         ids, edges, cand_locals = oracle_example(graph, query, num_negatives, k, fanout, seed)
-        merged = ex.subgraph
-        assert_bitwise(merged.global_ids, ids)
-        assert_bitwise(merged.local_edges, edges)
-        assert_bitwise(ex.candidate_locals, cand_locals)
-        np.testing.assert_array_equal(merged.local_features, graph.features[ids])
-        assert merged.query_locals.tolist() == [0] and merged.global_ids[0] == query
-        if merged.local_edges.size:
-            dropped = augment_edge_drop(merged, 0.3, rng_seed=seed)
-            assert_bitwise(dropped.local_edges, oracle_edge_drop(merged.local_edges, 0.3, seed))
+        assert_bitwise(ex.global_ids, ids)
+        assert_bitwise(ex.local_edges, edges)
+        assert_bitwise(ex.candidate_rows[0], cand_locals)
+        np.testing.assert_array_equal(ex.local_features, graph.features[ids])
+        assert ex.query_locals.tolist() == [0] and ex.global_ids[0] == query
+        if ex.local_edges.size:
+            dropped = augment_edge_drop(ex, 0.3, rng_seed=seed)
+            assert_bitwise(dropped.local_edges, oracle_edge_drop(ex.local_edges, 0.3, seed))
 
     def test_path_graph(self):
         g = path_graph(6)

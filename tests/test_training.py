@@ -70,6 +70,9 @@ class TestTrainConfig:
             dict(learning_rate=0.0),
             dict(clip_norm=0.0),
             dict(num_negatives=0),
+            dict(k=0),
+            dict(k=-1),
+            dict(fanout=0),
             dict(seed=-1),
             dict(enabled_tasks=()),
             dict(enabled_tasks=("retrieval", "contrastive")),
