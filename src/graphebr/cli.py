@@ -46,20 +46,26 @@ from .index import (
 )
 from .training import (
     TrainConfig,
-    check_json_types,
-    config_from_dict,
     load_checkpoint,
+    load_dataclass,
     loss_gradient_cases,
     train,
 )
 
 GRADCHECK_TOLERANCE = 1e-4
 
-_SYNTHETIC_TYPES = {
-    "num_nodes": "int", "p_in": "float", "p_out": "float", "feature_dim": "int",
-    "num_communities": "int", "cold_start_fraction": "float", "seed": "int",
-}
-_SYNTHETIC_DEFAULTS = {"num_communities": 2, "cold_start_fraction": 0.0, "seed": 0}
+@dataclass(frozen=True)
+class SyntheticGraph:
+    """Parameters of `generate_synthetic_graph`, named like the run config's
+    `synthetic` keys."""
+
+    num_nodes: int
+    p_in: float
+    p_out: float
+    feature_dim: int
+    num_communities: int = 2
+    cold_start_fraction: float = 0.0
+    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -74,40 +80,25 @@ class RunConfig:
 
     train: TrainConfig
     output_dir: str
-    edges_path: str = None
-    features_path: str = None
-    synthetic: dict = None
+    edges_path: str | None = None
+    features_path: str | None = None
+    synthetic: SyntheticGraph | None = None
     holdout_fraction: float = 0.1
     split_seed: int = 0
     eval: EvalSettings = field(default_factory=EvalSettings)
 
     def __post_init__(self):
-        if not isinstance(self.train, TrainConfig):
-            raise ValidationError("run config: train must be a TrainConfig")
-        if not isinstance(self.eval, EvalSettings):
-            raise ValidationError("run config: eval must be EvalSettings")
-        if not isinstance(self.output_dir, str) or not self.output_dir:
+        if not self.output_dir:
             raise ValidationError("run config: output_dir must be a non-empty string")
         from_files = self.edges_path is not None or self.features_path is not None
         if self.synthetic is not None and from_files:
             raise ValidationError(
                 "run config: give either graph files or synthetic parameters, not both"
             )
-        if self.synthetic is None:
-            if not (self.edges_path and self.features_path):
-                raise ValidationError(
-                    "run config: need edges_path and features_path, or a synthetic block"
-                )
-        else:
-            if not isinstance(self.synthetic, dict):
-                raise ValidationError("run config: synthetic must be an object")
-            unknown = set(self.synthetic) - set(_SYNTHETIC_TYPES)
-            if unknown:
-                raise ValidationError(f"run config: unknown synthetic fields {sorted(unknown)}")
-            missing = set(_SYNTHETIC_TYPES) - set(_SYNTHETIC_DEFAULTS) - set(self.synthetic)
-            if missing:
-                raise ValidationError(f"run config: synthetic block missing {sorted(missing)}")
-            check_json_types("run config: synthetic.", _SYNTHETIC_TYPES, self.synthetic)
+        if self.synthetic is None and not (self.edges_path and self.features_path):
+            raise ValidationError(
+                "run config: need edges_path and features_path, or a synthetic block"
+            )
         if not 0.0 < self.holdout_fraction < 0.5:
             raise ValidationError("run config: holdout_fraction must lie in (0, 0.5)")
         if self.split_seed < 0:
@@ -115,40 +106,7 @@ class RunConfig:
 
 
 def run_config_from_dict(raw) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ValidationError("run config: expected a JSON object")
-    raw = dict(raw)
-    known = {
-        "train", "output_dir", "edges_path", "features_path",
-        "synthetic", "holdout_fraction", "split_seed", "eval",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ValidationError(f"run config: unknown fields {sorted(unknown)}")
-    for key in ("train", "output_dir"):
-        if key not in raw:
-            raise ValidationError(f"run config: missing {key!r}")
-    if not isinstance(raw["train"], dict):
-        raise ValidationError("run config: 'train' must be an object")
-    train_cfg = config_from_dict(raw.pop("train"))
-    eval_raw = raw.pop("eval", None)
-    if eval_raw is None:
-        settings = EvalSettings()
-    elif isinstance(eval_raw, dict):
-        check_json_types("run config: eval.", EvalSettings, eval_raw)
-        try:
-            settings = EvalSettings(**eval_raw)
-        except TypeError as exc:
-            raise ValidationError(f"run config: bad eval settings ({exc})") from exc
-    else:
-        raise ValidationError("run config: 'eval' must be an object")
-    for key, convert in (("holdout_fraction", float), ("split_seed", int)):
-        if key in raw:
-            try:
-                raw[key] = convert(raw[key])
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"run config: {key} must be a number") from exc
-    return RunConfig(train=train_cfg, eval=settings, **raw)
+    return load_dataclass(RunConfig, raw, "run config")
 
 
 def load_run_config(path) -> RunConfig:
@@ -160,16 +118,16 @@ def load_run_config(path) -> RunConfig:
 
 
 def _resolve_graph(cfg: RunConfig) -> GraphStore:
-    if cfg.synthetic is not None:
-        merged = {**_SYNTHETIC_DEFAULTS, **cfg.synthetic}
+    synth = cfg.synthetic
+    if synth is not None:
         return generate_synthetic_graph(
-            num_nodes=merged["num_nodes"],
-            num_communities=merged["num_communities"],
-            p_in=merged["p_in"],
-            p_out=merged["p_out"],
-            feature_dim=merged["feature_dim"],
-            cold_start_fraction=merged["cold_start_fraction"],
-            rng_seed=merged["seed"],
+            num_nodes=synth.num_nodes,
+            num_communities=synth.num_communities,
+            p_in=synth.p_in,
+            p_out=synth.p_out,
+            feature_dim=synth.feature_dim,
+            cold_start_fraction=synth.cold_start_fraction,
+            rng_seed=synth.seed,
         )
     for path in (cfg.edges_path, cfg.features_path):
         if not os.path.exists(path):

@@ -17,59 +17,29 @@ import numpy as np
 from .errors import ValidationError
 from .graph import GraphStore
 from .index import ann_topk, build_ann_index, exact_topk, export_embeddings
-from .losses import LossWeights
 from .training import TrainConfig, train
 
 
 class GraphEmbeddingRetriever:
     """Graph encoder with nearest-neighbor retrieval over its embeddings.
 
-    The flat constructor arguments cover the common knobs; pass a full
-    `TrainConfig` as `train_config` to control everything else, in which
-    case the flat training arguments are ignored.
+    `config` holds every training setting; the other arguments choose and
+    tune the index that serves the fitted embeddings.
     """
 
     def __init__(
         self,
-        steps=200,
-        batch_size=32,
-        learning_rate=1e-3,
-        embedding_dim=64,
-        hidden_dims=(64,),
-        projection_dim=64,
-        k=2,
-        fanout=10,
-        num_negatives=15,
-        enabled_tasks=("retrieval", "cca", "mae"),
-        retrieval_weight=1.0,
-        cca_weight=1e-3,
-        mae_weight=1e-3,
-        seed=0,
+        config: TrainConfig = TrainConfig(),
         index="exact",
         m_conn=16,
         ef_construction=100,
         ef_search=64,
-        train_config=None,
     ):
-        self.steps = steps
-        self.batch_size = batch_size
-        self.learning_rate = learning_rate
-        self.embedding_dim = embedding_dim
-        self.hidden_dims = hidden_dims
-        self.projection_dim = projection_dim
-        self.k = k
-        self.fanout = fanout
-        self.num_negatives = num_negatives
-        self.enabled_tasks = enabled_tasks
-        self.retrieval_weight = retrieval_weight
-        self.cca_weight = cca_weight
-        self.mae_weight = mae_weight
-        self.seed = seed
+        self.config = config
         self.index = index
         self.m_conn = m_conn
         self.ef_construction = ef_construction
         self.ef_search = ef_search
-        self.train_config = train_config
 
     @classmethod
     def _param_names(cls):
@@ -87,30 +57,6 @@ class GraphEmbeddingRetriever:
             setattr(self, name, value)
         return self
 
-    def _resolve_config(self) -> TrainConfig:
-        if self.train_config is not None:
-            if not isinstance(self.train_config, TrainConfig):
-                raise ValidationError("estimator: train_config must be a TrainConfig")
-            return self.train_config
-        return TrainConfig(
-            steps=self.steps,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            weights=LossWeights(
-                alpha=self.retrieval_weight,
-                beta=self.cca_weight,
-                gamma=self.mae_weight,
-            ),
-            k=self.k,
-            fanout=self.fanout,
-            num_negatives=self.num_negatives,
-            seed=self.seed,
-            enabled_tasks=tuple(self.enabled_tasks),
-            hidden_dims=tuple(self.hidden_dims),
-            embedding_dim=self.embedding_dim,
-            projection_dim=self.projection_dim,
-        )
-
     def _require_fitted(self):
         if not hasattr(self, "result_"):
             raise ValidationError("estimator: call fit before using the model")
@@ -119,11 +65,13 @@ class GraphEmbeddingRetriever:
         """Train on the graph, export its embedding table, and index it."""
         if self.index not in ("exact", "hnsw"):
             raise ValidationError("estimator: index must be 'exact' or 'hnsw'")
-        cfg = self._resolve_config()
+        if not isinstance(self.config, TrainConfig):
+            raise ValidationError("estimator: config must be a TrainConfig")
+        cfg = self.config
         self.result_ = train(graph, cfg)
         self.config_ = cfg
         self.graph_ = graph
-        self.table_ = export_embeddings(self.result_, graph, k=cfg.k, fanout=cfg.fanout)
+        self.table_ = export_embeddings(self.result_.params, graph, k=cfg.k, fanout=cfg.fanout)
         self.index_ = (
             build_ann_index(
                 self.table_,
@@ -143,7 +91,7 @@ class GraphEmbeddingRetriever:
         if graph is None:
             return self.table_.vectors.copy()
         cfg = self.config_
-        return export_embeddings(self.result_, graph, k=cfg.k, fanout=cfg.fanout).vectors
+        return export_embeddings(self.result_.params, graph, k=cfg.k, fanout=cfg.fanout).vectors
 
     def fit_transform(self, graph: GraphStore, y=None) -> np.ndarray:
         return self.fit(graph, y).transform()

@@ -271,8 +271,8 @@ def evaluate_table(
                 raise ValidationError(
                     f"evaluate: held-out pair ({u}, {v}) is still a training edge"
                 )
-            # NaN compares false, so excluded nodes never count, even
-            # where an overflowed score of v is -inf
+            # NaN compares false, so excluded nodes never count; every
+            # other score is finite, since the table's squared norms are
             scores[row, u] = np.nan
             scores[row, nbrs] = np.nan
             is_cold.append(len(nbrs) <= settings.cold_start_threshold)
@@ -302,7 +302,7 @@ def evaluate(
             "evaluate: expected a train result with its config; "
             "use evaluate_table for a prebuilt embedding table"
         )
-    table = export_embeddings(result, train_graph, k=cfg.k, fanout=cfg.fanout)
+    table = export_embeddings(result.params, train_graph, k=cfg.k, fanout=cfg.fanout)
     return evaluate_table(table, train_graph, heldout, settings)
 
 

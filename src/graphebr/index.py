@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ShapeError, ValidationError
-from .gat import encode
+from .gat import EncoderParams, encode
 from .graph import GraphStore
 # Export samples through khop_batch and never calls khop_subgraph; the
 # name stays importable because benchmarks/ traces index.khop_subgraph.
@@ -37,8 +38,9 @@ class EmbeddingTable:
         v = np.asarray(self.vectors, dtype=np.float64)
         if v.ndim != 2 or v.shape[1] < 1:
             raise ShapeError(f"embedding table: expected 2-D matrix, got {v.shape}")
-        if not np.isfinite(v).all():
-            raise ValidationError("embedding table: non-finite rows")
+        # finite squared norms bound every score: |q.v| <= max(|q|^2, |v|^2)
+        if not np.isfinite(np.einsum("ij,ij->i", v, v)).all():
+            raise ValidationError("embedding table: non-finite rows or squared row norms")
         object.__setattr__(self, "vectors", v)
 
     @property
@@ -59,14 +61,12 @@ class TopkResult:
     truncated: bool
 
 
-def export_embeddings(model, graph: GraphStore, k: int, fanout) -> EmbeddingTable:
+def export_embeddings(params: EncoderParams, graph: GraphStore, k: int, fanout) -> EmbeddingTable:
     """Embed every node from its fanout-capped k-hop context.
 
     Context sampling is seeded by the node id, so repeated exports with the
-    same arguments produce identical tables. Accepts either EncoderParams
-    or a train result carrying them.
+    same arguments produce identical tables.
     """
-    params = getattr(model, "params", model)
     if graph.features.shape[1] != params.feature_dim:
         raise ValidationError(
             f"export: graph feature dim {graph.features.shape[1]} vs "
@@ -123,8 +123,10 @@ def _as_query(table_dim: int, query_vec) -> np.ndarray:
     q = np.asarray(query_vec, dtype=np.float64).reshape(-1)
     if q.shape[0] != table_dim:
         raise ShapeError(f"query dim {q.shape[0]} vs table dim {table_dim}")
-    if not np.isfinite(q).all():
-        raise ValidationError("query vector has non-finite entries")
+    with np.errstate(over="ignore"):
+        norm2 = np.dot(q, q)
+    if not math.isfinite(norm2):
+        raise ValidationError("query vector has non-finite entries or squared norm")
     return q
 
 
@@ -149,8 +151,8 @@ def exact_topk(table: EmbeddingTable, query_vec, k: int, exclude=()) -> TopkResu
     truncated = k > len(ids)
     if k < len(ids):
         neg = -scores[ids]
-        # `not >` also keeps NaN scores, which partition and lexsort both put last
-        ids = ids[~(neg > np.partition(neg, k - 1)[k - 1])]
+        # scores are finite: the table and the query have finite squared norms
+        ids = ids[neg <= np.partition(neg, k - 1)[k - 1]]
     ids = ids[np.lexsort((ids, -scores[ids]))[:k]]
     return TopkResult(ids=ids, scores=scores[ids], truncated=truncated)
 
@@ -321,6 +323,8 @@ def ann_topk(index: AnnIndex, query_vec, k: int, ef_search: int = 64, exclude=()
 def validate_index(index: AnnIndex):
     """Check the structural invariants; raises ValidationError on breakage."""
     n = index.vectors.shape[0]
+    if index.levels.shape != (n,):
+        raise ValidationError(f"ann index: levels of shape {index.levels.shape} for {n} rows")
     if not 0 <= index.entry_point < n:
         raise ValidationError("ann index: entry point out of range")
     if int(index.levels[index.entry_point]) != index.max_level:
@@ -328,6 +332,8 @@ def validate_index(index: AnnIndex):
     for layer_id, adjacency in enumerate(index.layers):
         cap = _degree_cap(index.m_conn, layer_id)
         for node, neighbors in adjacency.items():
+            if not 0 <= node < n:
+                raise ValidationError(f"ann index: node {node} out of range at layer {layer_id}")
             if index.levels[node] < layer_id:
                 raise ValidationError(f"ann index: node {node} too low for layer {layer_id}")
             if len(neighbors) > cap:
@@ -341,7 +347,7 @@ def validate_index(index: AnnIndex):
     queue = [index.entry_point]
     while queue:
         node = queue.pop()
-        for nbr in index.layers[0][node]:
+        for nbr in index.layers[0].get(node, ()):
             if nbr not in reached:
                 reached.add(nbr)
                 queue.append(nbr)
@@ -364,20 +370,30 @@ def index_to_dict(index: AnnIndex) -> dict:
     }
 
 
-def index_from_dict(raw: dict) -> AnnIndex:
+def index_from_dict(raw) -> AnnIndex:
+    """Parse and validate an index document; malformed files are rejected."""
+    if not isinstance(raw, dict):
+        raise ValidationError("ann index: expected a JSON object")
     if raw.get("version") != "1":
         raise ValidationError(f"ann index: unsupported version {raw.get('version')!r}")
-    return AnnIndex(
-        vectors=np.asarray(raw["vectors"], dtype=np.float64),
-        m_conn=int(raw["m_conn"]),
-        ef_construction=int(raw["ef_construction"]),
-        entry_point=int(raw["entry_point"]),
-        levels=np.asarray(raw["levels"], dtype=np.int64),
-        layers=[
-            {int(node): [int(n) for n in neighbors] for node, neighbors in adjacency.items()}
-            for adjacency in raw["layers"]
-        ],
-    )
+    try:
+        index = AnnIndex(
+            vectors=EmbeddingTable(raw["vectors"]).vectors,
+            m_conn=int(raw["m_conn"]),
+            ef_construction=int(raw["ef_construction"]),
+            entry_point=int(raw["entry_point"]),
+            levels=np.asarray(raw["levels"], dtype=np.int64),
+            layers=[
+                {int(node): [int(n) for n in neighbors] for node, neighbors in adjacency.items()}
+                for adjacency in raw["layers"]
+            ],
+        )
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ValidationError(f"ann index: malformed document ({exc})") from exc
+    validate_index(index)
+    return index
 
 
 def save_index(index: AnnIndex, path):

@@ -14,7 +14,8 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -136,53 +137,61 @@ def _list_of(check):
     return lambda value: isinstance(value, (list, tuple)) and all(check(x) for x in value)
 
 
-# JSON shape each annotated field accepts: (what the error calls it, check)
-_FIELD_TYPES = {
-    "int": ("an integer", _is_int),
-    "float": (
+# JSON shape each annotated field accepts: (what the error calls it, check);
+# `X | None` also accepts null, and a dataclass field takes an object
+_JSON_TYPES = {
+    int: ("an integer", _is_int),
+    float: (
         "a finite number",
         lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
     ),
-    "int | None": ("an integer or null", lambda v: v is None or _is_int(v)),
-    "tuple[str, ...]": ("a list of strings", _list_of(lambda v: isinstance(v, str))),
-    "tuple[int, ...]": ("a list of integers", _list_of(_is_int)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    tuple[str, ...]: ("a list of strings", _list_of(lambda v: isinstance(v, str))),
+    tuple[int, ...]: ("a list of integers", _list_of(_is_int)),
 }
 
 
-def check_json_types(where: str, spec, raw: dict):
-    """Reject a value of `raw` whose JSON shape does not fit its annotation
-    in `spec`, a dataclass or a name -> annotation dict; the error names the
-    field after the `where` prefix."""
-    types = spec if isinstance(spec, dict) else {f.name: f.type for f in fields(spec)}
-    for name, annotation in types.items():
-        if name in raw and annotation in _FIELD_TYPES:
-            kind, ok = _FIELD_TYPES[annotation]
-            if not ok(raw[name]):
-                raise ValidationError(f"{where}{name} must be {kind}")
+def load_dataclass(cls, raw, where: str, _path: str = ""):
+    """Build dataclass `cls` from a parsed JSON object.
+
+    Rejects a non-object, unknown or missing fields, and any value whose
+    JSON shape does not fit its field's annotation, recursing into fields
+    that are themselves dataclasses. Errors start with `where` and name
+    the field by its dotted path.
+    """
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{where}: expected a JSON object")
+    block = f" in {_path[:-1]}:" if _path else ""
+    declared = {f.name: f for f in fields(cls)}
+    unknown = set(raw) - set(declared)
+    if unknown:
+        raise ValidationError(f"{where}: unknown fields{block} {sorted(unknown)}")
+    missing = [
+        name for name, f in declared.items()
+        if name not in raw and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise ValidationError(f"{where}: missing fields{block} {missing}")
+    hints = get_type_hints(cls)
+    values = {}
+    for name, value in raw.items():
+        hint, or_null = hints[name], ""
+        if type(None) in get_args(hint):
+            if value is None:
+                values[name] = None
+                continue
+            (hint,) = set(get_args(hint)) - {type(None)}
+            or_null = " or null"
+        nested = is_dataclass(hint)
+        kind, ok = ("an object", lambda v: isinstance(v, dict)) if nested else _JSON_TYPES[hint]
+        if not ok(value):
+            raise ValidationError(f"{where}: {_path}{name} must be {kind}{or_null}")
+        values[name] = load_dataclass(hint, value, where, f"{_path}{name}.") if nested else value
+    return cls(**values)
 
 
 def config_from_dict(raw: dict) -> TrainConfig:
-    raw = dict(raw)
-    unknown = set(raw) - {f.name for f in fields(TrainConfig)}
-    if unknown:
-        raise ValidationError(f"train config: unknown fields {sorted(unknown)}")
-    check_json_types("train config: ", TrainConfig, raw)
-    for key, cls in (
-        ("weights", LossWeights),
-        ("cca", CcaConfig),
-        ("mae", MaeConfig),
-        ("augmentation", AugmentationConfig),
-    ):
-        if key not in raw:
-            continue
-        if not isinstance(raw[key], dict):
-            raise ValidationError(f"train config: {key} must be an object")
-        unknown = set(raw[key]) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValidationError(f"train config: unknown fields in {key}: {sorted(unknown)}")
-        check_json_types(f"train config: {key}.", cls, raw[key])
-        raw[key] = cls(**raw[key])
-    return TrainConfig(**raw)
+    return load_dataclass(TrainConfig, raw, "train config")
 
 
 @dataclass

@@ -1,13 +1,24 @@
 import json
+from dataclasses import is_dataclass
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
 
-from graphebr.cli import cli_main, load_run_config, run_config_from_dict
+from graphebr.cli import (
+    RunConfig,
+    SyntheticGraph,
+    cli_main,
+    load_run_config,
+    run_config_from_dict,
+)
 from graphebr.errors import ValidationError
 from graphebr.evaluation import EvalSettings
 from graphebr.graph import load_graph
-from graphebr.index import load_table
+from graphebr.index import EmbeddingTable, build_ann_index, index_to_dict, load_table
+from graphebr.losses import CcaConfig, LossWeights, MaeConfig
+from graphebr.sampling import AugmentationConfig
+from graphebr.training import _JSON_TYPES, TrainConfig, load_dataclass
 
 
 def base_config(tmp_path, out="run"):
@@ -174,6 +185,56 @@ class TestRunConfig:
             assert f"run config: {named}" in err
             assert not (tmp_path / "run").exists()
 
+    def test_mistyped_run_fields_exit_one_without_coercion(self, tmp_path, capsys):
+        for name, value, named in (
+            ("split_seed", 2.7, "split_seed must be an integer"),
+            ("split_seed", "3", "split_seed must be an integer"),
+            ("split_seed", True, "split_seed must be an integer"),
+            ("holdout_fraction", "0.2", "holdout_fraction must be a finite number"),
+            ("edges_path", 3, "edges_path must be a string or null"),
+        ):
+            raw = base_config(tmp_path)
+            if name == "edges_path":
+                del raw["synthetic"]
+                raw["features_path"] = str(tmp_path / "g.feats")
+            raw[name] = value
+            assert cli_main(["train", "--config", write_config(tmp_path, raw)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.strip().count("\n") == 0
+            assert f"run config: {named}" in err
+            assert not (tmp_path / "run").exists()
+
+    def test_synthetic_block_defaults_and_required_fields(self, tmp_path):
+        cfg = run_config_from_dict(base_config(tmp_path))
+        assert cfg.synthetic == SyntheticGraph(
+            num_nodes=40, p_in=0.25, p_out=0.05, feature_dim=6,
+            num_communities=2, cold_start_fraction=0.0, seed=3,
+        )
+        raw = base_config(tmp_path)
+        del raw["synthetic"]["p_out"]
+        with pytest.raises(ValidationError, match=r"missing fields in synthetic: \['p_out'\]"):
+            run_config_from_dict(raw)
+
+    def test_every_config_field_is_type_checked(self, tmp_path):
+        # a field whose annotation the loader does not know would pass any
+        # JSON value through unchecked
+        valid = {
+            TrainConfig: {}, LossWeights: {}, CcaConfig: {}, MaeConfig: {},
+            AugmentationConfig: {}, EvalSettings: {},
+            SyntheticGraph: base_config(tmp_path)["synthetic"],
+            RunConfig: base_config(tmp_path),
+        }
+        for cls, raw in valid.items():
+            assert load_dataclass(cls, raw, "cfg") is not None
+            for name, hint in get_type_hints(cls).items():
+                if type(None) in get_args(hint):
+                    (hint,) = set(get_args(hint)) - {type(None)}
+                assert is_dataclass(hint) or hint in _JSON_TYPES, (cls, name)
+                # no field takes a list of integers and an object at once
+                wrong = [0] if is_dataclass(hint) else {"x": 0}
+                with pytest.raises(ValidationError, match=rf"cfg: {name} must be"):
+                    load_dataclass(cls, {**raw, name: wrong}, "cfg")
+
     def test_missing_config_file_exits_one(self, tmp_path, capsys):
         assert cli_main(["train", "--config", str(tmp_path / "absent.json")]) == 1
         assert_single_error_line(capsys)
@@ -336,6 +397,29 @@ class TestEmbedIndexRetrieve:
         assert cli_main(["retrieve", "--table", table_path,
                          "--queries", str(queries), "--k", "3"]) == 1
         assert_single_error_line(capsys)
+
+    def test_malformed_index_files_exit_one(self, tmp_path, capsys):
+        vectors = np.random.default_rng(4).normal(size=(30, 4))
+        good = index_to_dict(build_ann_index(EmbeddingTable(vectors), m_conn=4, rng_seed=5))
+        stray_link = json.loads(json.dumps(good))
+        stray_link["layers"][0]["0"][-1] = 999
+        stray_node = json.loads(json.dumps(good))
+        stray_node["layers"][0]["999"] = []
+        queries = tmp_path / "queries.txt"
+        queries.write_text("0\n")
+        for doc, named in (
+            ({key: v for key, v in good.items() if key != "m_conn"}, "malformed document"),
+            ([good], "expected a JSON object"),
+            ({**good, "entry_point": 999}, "entry point out of range"),
+            (stray_link, "link 0->999 leaves layer 0"),
+            (stray_node, "node 999 out of range"),
+        ):
+            path = tmp_path / "index.json"
+            path.write_text(json.dumps(doc))
+            assert cli_main(["retrieve", "--index", str(path), "--queries", str(queries)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ann index: ") and err.strip().count("\n") == 0
+            assert named in err
 
     def test_table_and_index_are_mutually_exclusive(self, tmp_path, capsys):
         assert cli_main(["retrieve", "--table", "t", "--index", "i",

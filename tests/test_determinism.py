@@ -91,7 +91,7 @@ def test_fixed_seed_multitask_run_is_bitwise_pinned():
 
     assert params_digest(result.params) == EXPECTED_PARAMS_SHA256
 
-    table = export_embeddings(result, graph, k=cfg.k, fanout=cfg.fanout)
+    table = export_embeddings(result.params, graph, k=cfg.k, fanout=cfg.fanout)
     assert table_digest(table) == EXPECTED_TABLE_SHA256
 
 
@@ -105,7 +105,7 @@ def test_fixed_seed_uncapped_retrieval_run_is_bitwise_pinned():
     result = train(graph, cfg)
     assert [float(r["retrieval"]).hex() for r in result.history] == EXPECTED_UNCAPPED_LOSSES
     assert params_digest(result.params) == EXPECTED_UNCAPPED_PARAMS_SHA256
-    table = export_embeddings(result, graph, k=cfg.k, fanout=cfg.fanout)
+    table = export_embeddings(result.params, graph, k=cfg.k, fanout=cfg.fanout)
     assert table_digest(table) == EXPECTED_UNCAPPED_TABLE_SHA256
 
 

@@ -11,31 +11,37 @@ def small_graph(seed=0):
     return generate_synthetic_graph(50, 2, 0.2, 0.04, 6, 0.0, rng_seed=seed)
 
 
-def small_estimator(**overrides):
-    params = dict(
+def small_config(**overrides):
+    settings = dict(
         steps=4, batch_size=4, k=1, fanout=3, num_negatives=2,
         hidden_dims=(8,), embedding_dim=8, projection_dim=8, seed=1,
     )
-    params.update(overrides)
-    return GraphEmbeddingRetriever(**params)
+    settings.update(overrides)
+    return TrainConfig(**settings)
+
+
+def small_estimator(**params):
+    return GraphEmbeddingRetriever(small_config(), **params)
 
 
 class TestParams:
     def test_get_params_round_trip(self):
-        est = small_estimator(learning_rate=0.01)
+        est = GraphEmbeddingRetriever(small_config(learning_rate=0.01), index="hnsw")
         clone = GraphEmbeddingRetriever(**est.get_params())
         assert clone.get_params() == est.get_params()
 
     def test_set_params(self):
         est = small_estimator()
-        assert est.set_params(steps=7) is est
-        assert est.get_params()["steps"] == 7
+        assert est.set_params(config=small_config(steps=7)) is est
+        assert est.get_params()["config"].steps == 7
         with pytest.raises(ValidationError):
-            est.set_params(not_a_knob=1)
+            est.set_params(steps=7)
 
     def test_constructor_stores_arguments_verbatim(self):
-        est = GraphEmbeddingRetriever(hidden_dims=[32, 16])
-        assert est.hidden_dims == [32, 16]
+        cfg = TrainConfig(hidden_dims=[32, 16])
+        est = GraphEmbeddingRetriever(cfg)
+        assert est.config is cfg
+        assert GraphEmbeddingRetriever().config == TrainConfig()
 
 
 class TestFit:
@@ -52,17 +58,9 @@ class TestFit:
         with pytest.raises(ValidationError):
             small_estimator(index="flat").fit(small_graph())
 
-    def test_train_config_escape_hatch(self):
-        cfg = TrainConfig(steps=2, batch_size=3, k=1, fanout=2, num_negatives=2,
-                          hidden_dims=(4,), embedding_dim=4, projection_dim=4)
-        est = GraphEmbeddingRetriever(steps=999, train_config=cfg)
-        est.fit(small_graph())
-        assert est.config_ is cfg
-        assert len(est.result_.history) <= 2
-
     def test_non_config_escape_hatch_rejected(self):
-        with pytest.raises(ValidationError):
-            GraphEmbeddingRetriever(train_config={"steps": 2}).fit(small_graph())
+        with pytest.raises(ValidationError, match="config must be a TrainConfig"):
+            GraphEmbeddingRetriever({"steps": 2}).fit(small_graph())
 
     def test_unfitted_calls_rejected(self):
         est = small_estimator()

@@ -20,7 +20,7 @@ from graphebr.evaluation import (
     split_edges,
 )
 from graphebr.graph import GraphStore, generate_synthetic_graph
-from graphebr.index import EmbeddingTable, exact_topk
+from graphebr.index import EmbeddingTable
 from graphebr.training import TrainConfig, train
 
 
@@ -236,14 +236,10 @@ class TestEvaluateTable:
             evaluate_table(table, g, pairs)
 
     def test_excluded_nodes_never_count_when_scores_overflow(self):
-        # u=0 scores -inf against every other node, v=2 included
-        g = GraphStore(np.zeros((4, 1)), [(0, 1)])
-        table = EmbeddingTable(np.array([[1e200], [-1e200], [-1e200], [-1e200]]))
-        with np.errstate(over="ignore"):
-            top = exact_topk(table, table.vectors[0], k=3, exclude={0, 1})
-            report = evaluate_table(table, g, [(0, 2)], EvalSettings(k_values=(1, 2)))
-        assert top.ids.tolist() == [2, 3]
-        assert report.recall == {1: 1.0, 2: 1.0}
+        # u=0 would score -inf against every other node: a table whose
+        # squared row norms overflow is refused before any score is taken
+        with pytest.raises(ValidationError, match="squared row norms"):
+            EmbeddingTable(np.array([[1e200], [-1e200], [-1e200], [-1e200]]))
 
 
 class TestEvaluateWrapper:

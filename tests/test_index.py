@@ -47,11 +47,13 @@ class TestEmbeddingTable:
             EmbeddingTable(bad)
 
     def test_huge_finite_rows_accepted_and_non_finite_rows_rejected(self):
+        # 1e154 squares to a finite 1e308; 1e308 squares to inf, and its
+        # dot products could overflow
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = EmbeddingTable(np.full((2, 1), 1e308))
-        assert table.vectors.tolist() == [[1e308], [1e308]]
-        for bad_value in (np.nan, np.inf, -np.inf):
+            table = EmbeddingTable(np.full((2, 1), 1e154))
+        assert table.vectors.tolist() == [[1e154], [1e154]]
+        for bad_value in (np.nan, np.inf, -np.inf, 1e308, -1e308):
             bad = np.ones((3, 2))
             bad[2, 0] = bad_value
             with pytest.raises(ValidationError, match="non-finite rows"):
@@ -207,6 +209,14 @@ class TestExactTopk:
             exact_topk(table, np.ones(3), k=1)
         with pytest.raises(ValidationError):
             exact_topk(table, np.ones(2), k=1, exclude={9})
+        # a query whose squared norm overflows is refused, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (np.array([1e200, 0.0]), np.array([np.nan, 1.0])):
+                with pytest.raises(ValidationError, match="squared norm"):
+                    exact_topk(table, bad, k=1)
+                with pytest.raises(ValidationError, match="squared norm"):
+                    ann_topk(build_ann_index(table), bad, k=1)
 
 
 class TestAnnBuild:
