@@ -331,7 +331,8 @@ class ScatterPlan:
     """Reusable index bundle for repeated gather/scatter along fixed edges.
 
     Wraps the one-hot selection matrix as CSR so segment sums run as a
-    single sparse-dense product with a fixed, reproducible summation order.
+    single sparse-dense product with a fixed, reproducible summation order:
+    row i lists the positions e with idx[e] == i, in ascending e.
     """
 
     __slots__ = ("idx", "num_rows", "matrix")
@@ -343,9 +344,22 @@ class ScatterPlan:
             raise ValidationError("scatter plan: index out of range")
         self.idx = idx
         self.num_rows = num_rows
+        indptr = np.zeros(num_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(idx, minlength=num_rows), out=indptr[1:])
+        # the keys are unique, so the default sort gives the stable order;
+        # numpy's stable sort of int64 is several times slower here
+        order = np.argsort(idx * idx.size + np.arange(idx.size))
         self.matrix = sp.csr_matrix(
-            (np.ones(idx.size), (idx, np.arange(idx.size))),
-            shape=(num_rows, idx.size),
+            (np.ones(idx.size), order, indptr), shape=(num_rows, idx.size)
+        )
+
+    def edge_matrix(self, cols, weights, num_cols):
+        """CSR whose row i holds weights[e] at column cols[e] for each e
+        with idx[e] == i, in the plan's ascending-e order."""
+        perm = self.matrix.indices
+        return sp.csr_matrix(
+            (weights[perm], cols[perm], self.matrix.indptr),
+            shape=(self.num_rows, num_cols),
         )
 
 
@@ -393,6 +407,59 @@ def scatter_add_rows(a, idx, num_rows, plan: ScatterPlan | None = None) -> Tenso
         return (g[idx],)
 
     return _apply("scatter_add_rows", out, (a,), vjp)
+
+
+def aggregate(x, src_plan: ScatterPlan, dst_plan: ScatterPlan, weights=None) -> Tensor:
+    """Weighted neighbor sum along edges e from src[e] to dst[e].
+
+    out[i] = sum of w[e] * x[src[e]] over the edges with dst[e] == i, in
+    ascending e; `weights` is one column per edge, and None means w = 1.
+    The edges are the plans' `idx`. One CSR product does the work of
+    `scatter_add_rows(hadamard(w, gather_rows(x, src)), dst)` with the same
+    float operations in the same order, so the results match that chain
+    bitwise while no edges-by-features array is kept for backward. Skips
+    the VJP of an operand that is not tracked.
+    """
+    x = _as_tensor(x)
+    src, dst = src_plan.idx, dst_plan.idx
+    if src.size != dst.size or src_plan.num_rows != x.shape[0]:
+        raise ShapeError(
+            f"aggregate: {x.shape} with {src.size} sources into {src_plan.num_rows} "
+            f"rows and {dst.size} destinations"
+        )
+    if weights is None:
+        inputs, w, grad_w = (x,), np.ones(src.size), False
+    else:
+        weights = _as_tensor(weights)
+        if weights.shape != (src.size, 1):
+            raise ShapeError(f"aggregate: weights {weights.shape} for {src.size} edges")
+        inputs, w, grad_w = (x, weights), weights.data[:, 0], _tracked(weights)
+    xd = x.data
+    out = dst_plan.edge_matrix(src, w, xd.shape[0]) @ xd
+    grad_x = _tracked(x)
+
+    def vjp(g):
+        gx = src_plan.edge_matrix(dst, w, g.shape[0]) @ g if grad_x else None
+        gw = (g[dst] * xd[src]).sum(axis=1, keepdims=True) if grad_w else None
+        return (gx, gw)
+
+    return _apply("aggregate", out, inputs, vjp)
+
+
+def permute_rows(a, perm) -> Tensor:
+    """Reorder the rows of `a` by a permutation: out[r] = a[perm[r]].
+
+    The VJP is the inverse reordering. Adding 0.0 maps -0.0 to +0.0, so it
+    equals gather_rows' scatter into zeros bitwise.
+    """
+    a = _as_tensor(a)
+    perm = np.asarray(perm, dtype=np.int64).ravel()
+    n = a.shape[0]
+    if not np.array_equal(np.sort(perm), np.arange(n)):
+        raise ValidationError("permute_rows: index is not a permutation of the rows")
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[perm] = np.arange(n)
+    return _apply("permute_rows", a.data[perm], (a,), lambda g: (g[inverse] + 0.0,))
 
 
 def transpose(a) -> Tensor:
@@ -516,5 +583,16 @@ def primitive_gradient_suite(seed: int) -> list:
             [mat(9, 4)],
         ),
         ("transpose", lambda a: mean_scalar(power(transpose(a), 2.0)), [mat(5, 3)]),
+    ]
+    # drawn after the cases above, whose inputs stay what they were
+    src_plan = ScatterPlan(rng.integers(0, 5, size=9), 5)
+    perm = rng.permutation(5)
+    cases += [
+        (
+            "aggregate",
+            lambda x, w: reduced(aggregate(x, src_plan, plan, w)),
+            [mat(5, 4), mat(9, 1)],
+        ),
+        ("permute_rows", lambda a: reduced(permute_rows(a, perm)), [mat(5, 4)]),
     ]
     return [(name, gradient_check(f, xs)) for name, f, xs in cases]

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, require_integer_fields
 from .graph import GraphStore
 from .index import EmbeddingTable, export_embeddings
 from .index import exact_topk  # noqa: F401  (benchmarks/workloads.py traces this name)
@@ -37,10 +37,8 @@ class EvalSettings:
     mrr_cap: int = 100
 
     def __post_init__(self):
-        ks = tuple(int(k) for k in self.k_values)
-        object.__setattr__(self, "k_values", ks)
-        object.__setattr__(self, "cold_start_threshold", int(self.cold_start_threshold))
-        object.__setattr__(self, "mrr_cap", int(self.mrr_cap))
+        require_integer_fields(self, "eval settings")
+        ks = self.k_values
         if not ks or ks[0] < 1 or list(ks) != sorted(set(ks)):
             raise ValidationError(
                 "eval settings: k_values must be strictly increasing positive integers"

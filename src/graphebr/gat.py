@@ -129,8 +129,7 @@ class _GraphPlan:
     """
 
     __slots__ = (
-        "order", "inv", "src", "dst", "group_starts",
-        "dst_plan", "src_plan", "unsort_plan", "num_nodes",
+        "order", "inv", "src", "dst", "group_starts", "dst_plan", "src_plan", "num_nodes",
     )
 
     def __init__(self, graph_like):
@@ -142,14 +141,15 @@ class _GraphPlan:
         loops = np.arange(m, dtype=np.int64)
         src = np.concatenate([inv[edges[:, 0]], loops])
         dst = np.concatenate([inv[edges[:, 1]], loops])
-        perm = np.lexsort((src, dst))
+        # one int64 key gives the src and dst of lexsort((src, dst)): tied
+        # keys are the same edge, so their order changes no array below
+        perm = np.argsort(dst * m + src)
         self.src = src[perm]
         self.dst = dst[perm]
         # every node has its self-loop, so all m destination groups exist
         self.group_starts = np.searchsorted(self.dst, loops, side="left")
         self.dst_plan = ScatterPlan(self.dst, m)
         self.src_plan = ScatterPlan(self.src, m)
-        self.unsort_plan = ScatterPlan(inv, m)
         self.order = order
         self.inv = inv
         self.num_nodes = m
@@ -177,8 +177,7 @@ def _attention(layer: GATLayerParams, plan: _GraphPlan, h: Tensor):
 
 def _layer_forward(layer, plan, h, final: bool) -> Tensor:
     alpha, Wh = _attention(layer, plan, h)
-    messages = ad.hadamard(alpha, ad.gather_rows(Wh, plan.src, plan.src_plan))
-    agg = ad.scatter_add_rows(messages, plan.dst, plan.num_nodes, plan.dst_plan)
+    agg = ad.aggregate(Wh, plan.src_plan, plan.dst_plan, alpha)
     return agg if final else ad.relu(agg)
 
 
@@ -194,7 +193,7 @@ def encode(params: EncoderParams, sub) -> Tensor:
     last = len(params.layers) - 1
     for i, layer in enumerate(params.layers):
         h = _layer_forward(layer, plan, h, final=(i == last))
-    return ad.gather_rows(h, plan.inv, plan.unsort_plan)
+    return ad.permute_rows(h, plan.inv)
 
 
 def cca_head(params: EncoderParams, Z) -> Tensor:
@@ -223,10 +222,7 @@ def mae_reconstruct(params: EncoderParams, sub_masked, Z) -> Tensor:
     loops = np.arange(m, dtype=np.int64)
     src = np.concatenate([edges[:, 0], loops])
     dst = np.concatenate([edges[:, 1], loops])
-    dst_plan = ScatterPlan(dst, m)
-    sums = ad.scatter_add_rows(
-        ad.gather_rows(remasked, src, ScatterPlan(src, m)), dst, m, dst_plan
-    )
+    sums = ad.aggregate(remasked, ScatterPlan(src, m), ScatterPlan(dst, m))
     counts = np.bincount(dst, minlength=m).astype(np.float64).reshape(-1, 1)
     mean = ad.hadamard(sums, Tensor(1.0 / counts))
     return ad.matmul(mean, params.mae_decoder)

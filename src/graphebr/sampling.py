@@ -45,10 +45,9 @@ class Subgraph:
         if self.local_features.shape[0] != m or len(self.example_of) != m:
             raise ValidationError("subgraph: per-node arrays disagree on node count")
         if m:
-            # one int64 key per (example, global id); sorting is much
-            # cheaper than np.unique, and replace() re-runs this check
-            ids = self.global_ids - self.global_ids.min()
-            keys = np.sort(self.example_of * (int(ids.max()) + 1) + ids)
+            # sorting the keys is much cheaper than np.unique, and
+            # replace() re-runs this check
+            keys = np.sort(self._row_keys())
             if (keys[1:] == keys[:-1]).any():
                 raise ValidationError("subgraph: global_ids repeat within an example")
         for what, rows in (
@@ -70,9 +69,16 @@ class Subgraph:
     def num_nodes(self) -> int:
         return len(self.global_ids)
 
+    def _row_keys(self) -> np.ndarray:
+        """One int64 key per row, ordered like (example_of, global_ids)."""
+        ids = self.global_ids - self.global_ids.min()
+        return self.example_of * (int(ids.max()) + 1) + ids
+
     def canonical_order(self) -> np.ndarray:
         """Permutation placing rows by example, then by ascending global id."""
-        return np.lexsort((self.global_ids, self.example_of))
+        if not self.num_nodes:
+            return np.zeros(0, dtype=np.int64)
+        return np.argsort(self._row_keys())  # keys are unique, so any sort is stable
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import NumericError, ShapeError, SkipExample, ValidationError
+from .errors import (
+    NumericError,
+    ShapeError,
+    SkipExample,
+    ValidationError,
+    is_integer,
+    require_integer_fields,
+)
 from .gat import EncoderParams, cca_head, encode, init_params, mae_reconstruct
 from .graph import GraphStore
 from .losses import (
@@ -77,7 +84,7 @@ class TrainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "enabled_tasks", tuple(self.enabled_tasks))
-        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
+        require_integer_fields(self, "train config")
         if self.steps < 1:
             raise ValidationError("train config: steps must be >= 1")
         if self.batch_size < 1:
@@ -129,10 +136,6 @@ def config_to_dict(cfg: TrainConfig) -> dict:
     return json.loads(json.dumps(asdict(cfg)))
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _list_of(check):
     return lambda value: isinstance(value, (list, tuple)) and all(check(x) for x in value)
 
@@ -140,14 +143,14 @@ def _list_of(check):
 # JSON shape each annotated field accepts: (what the error calls it, check);
 # `X | None` also accepts null, and a dataclass field takes an object
 _JSON_TYPES = {
-    int: ("an integer", _is_int),
+    int: ("an integer", is_integer),
     float: (
         "a finite number",
-        lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
+        lambda v: is_integer(v) or (isinstance(v, float) and math.isfinite(v)),
     ),
     str: ("a string", lambda v: isinstance(v, str)),
     tuple[str, ...]: ("a list of strings", _list_of(lambda v: isinstance(v, str))),
-    tuple[int, ...]: ("a list of integers", _list_of(_is_int)),
+    tuple[int, ...]: ("a list of integers", _list_of(is_integer)),
 }
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graphebr import autodiff as ad
 from graphebr.errors import (
@@ -85,6 +86,23 @@ class TestForwardValues:
         without = ad.scatter_add_rows(vals, idx, 8)
         np.testing.assert_array_equal(with_plan.data, without.data)
 
+    @pytest.mark.parametrize(
+        "idx, num_rows",
+        [
+            (np.array([3, 0, 3, 1, 0, 3]), 6),  # rows 2, 4 and 5 are empty
+            (np.zeros(0, dtype=np.int64), 4),
+            (np.zeros(0, dtype=np.int64), 0),
+        ],
+    )
+    def test_scatter_plan_csr_equals_the_coo_build(self, idx, num_rows):
+        got = ad.ScatterPlan(idx, num_rows).matrix
+        want = sp.csr_matrix(
+            (np.ones(idx.size), (idx, np.arange(idx.size))), shape=(num_rows, idx.size)
+        )
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
     def test_transpose_roundtrip(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(3, 5))
@@ -167,6 +185,116 @@ class TestBackward:
             ad.relu(x)
         grads = ad.backward(ad.mean_scalar(ad.relu(x)))
         np.testing.assert_array_equal(grads[x], [[1.0]])
+
+
+def _aggregate_chain(x, w, src, dst, num_out):
+    """The gather -> weight -> scatter chain that `aggregate` fuses."""
+    src_plan, dst_plan = ad.ScatterPlan(src, x.shape[0]), ad.ScatterPlan(dst, num_out)
+    gathered = ad.gather_rows(x, src, src_plan)
+    messages = gathered if w is None else ad.hadamard(w, gathered)
+    return ad.scatter_add_rows(messages, dst, num_out, dst_plan)
+
+
+def _aggregate_fused(x, w, src, dst, num_out):
+    return ad.aggregate(x, ad.ScatterPlan(src, x.shape[0]), ad.ScatterPlan(dst, num_out), w)
+
+
+class TestAggregate:
+    """`aggregate` must equal the chain it replaces byte for byte."""
+
+    @staticmethod
+    def _edges(case, rng):
+        if case == "zero_edges":
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 6, 5
+        n_in, n_out, e = 6, 9, 40
+        src = rng.integers(0, n_in, size=e)  # draws over 6 rows repeat
+        dst = rng.integers(0, n_out - 3, size=e)  # unsorted; the last 3 rows get no edge
+        if case == "sorted_dst":
+            order = np.argsort(dst, kind="stable")
+            src, dst = src[order], dst[order]
+        return src, dst, n_in, n_out
+
+    def _run(self, fn, x_data, w_data, src, dst, n_out, upstream):
+        x = ad.Tensor(x_data, requires_grad=True)
+        w = None if w_data is None else ad.Tensor(w_data, requires_grad=True)
+        out = fn(x, w, src, dst, n_out)
+        grads = ad.backward(ad.mean_scalar(ad.hadamard(out, ad.Tensor(upstream))))
+        gx = grads.get(x, np.zeros_like(x_data))
+        gw = None if w is None else grads.get(w, np.zeros_like(w_data))
+        return out.data, gx, gw
+
+    @pytest.mark.parametrize("case", ["unsorted_dst", "sorted_dst", "zero_edges"])
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_value_and_both_gradients_match_the_chain_bitwise(self, case, weighted):
+        rng = np.random.default_rng(11)
+        src, dst, n_in, n_out = self._edges(case, rng)
+        x = rng.normal(size=(n_in, 5))
+        w = rng.uniform(0.1, 1.0, size=(src.size, 1)) if weighted else None
+        upstream = rng.normal(size=(n_out, 5))
+        upstream[0] = -0.0  # a signed zero must come back as the chain returns it
+        want = self._run(_aggregate_chain, x, w, src, dst, n_out, upstream)
+        got = self._run(_aggregate_fused, x, w, src, dst, n_out, upstream)
+        for name, a, b in zip(("value", "x grad", "weights grad"), got, want):
+            if b is None:
+                assert a is None
+            else:
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    def test_no_grad_records_nothing_and_keeps_the_value(self):
+        rng = np.random.default_rng(12)
+        src, dst, n_in, n_out = self._edges("unsorted_dst", rng)
+        x = ad.Tensor(rng.normal(size=(n_in, 3)), requires_grad=True)
+        w = ad.Tensor(rng.uniform(size=(src.size, 1)), requires_grad=True)
+        with ad.no_grad():
+            got = _aggregate_fused(x, w, src, dst, n_out)
+            want = _aggregate_chain(x, w, src, dst, n_out)
+        assert len(ad.active_tape()) == 0
+        assert got.data.tobytes() == want.data.tobytes()
+
+    def test_untracked_operand_gets_no_vjp(self):
+        rng = np.random.default_rng(13)
+        src, dst, n_in, n_out = self._edges("unsorted_dst", rng)
+        x = ad.Tensor(rng.normal(size=(n_in, 3)))
+        w = ad.Tensor(rng.uniform(size=(src.size, 1)), requires_grad=True)
+        _aggregate_fused(x, w, src, dst, n_out)
+        (_, _, vjp), = ad.active_tape().records
+        ad.active_tape().clear()
+        g_x, g_w = vjp(np.ones((n_out, 3)))
+        assert g_x is None and g_w.shape == (src.size, 1)
+
+    def test_mismatched_operands_rejected(self):
+        x = ad.Tensor(np.ones((3, 2)))
+        plan3, plan4 = ad.ScatterPlan([0, 1, 2], 3), ad.ScatterPlan([0, 1, 2, 0], 3)
+        with pytest.raises(ShapeError):
+            ad.aggregate(x, plan3, plan4)
+        with pytest.raises(ShapeError):
+            ad.aggregate(ad.Tensor(np.ones((4, 2))), plan3, plan3)
+        with pytest.raises(ShapeError):
+            ad.aggregate(x, plan3, plan3, ad.Tensor(np.ones((3, 2))))
+
+
+class TestPermuteRows:
+    def test_value_and_gradient_match_gather_rows_bitwise(self):
+        rng = np.random.default_rng(14)
+        perm = rng.permutation(7)
+        x = rng.normal(size=(7, 3))
+        g = rng.normal(size=(7, 3))
+        g[2] = -0.0  # the scatter into zeros returns +0.0 here
+        results = []
+        for fn in (
+            lambda a: ad.permute_rows(a, perm),
+            lambda a: ad.gather_rows(a, perm, ad.ScatterPlan(perm, 7)),
+        ):
+            out = fn(ad.Tensor(x, requires_grad=True))
+            (_, _, vjp), = ad.active_tape().records
+            ad.active_tape().clear()
+            results.append(out.data.tobytes() + vjp(g)[0].tobytes())
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("perm", [[0, 0, 2], [0, 1], [0, 1, 3], [2, 1, 0, 3]])
+    def test_non_permutation_rejected(self, perm):
+        with pytest.raises(ValidationError):
+            ad.permute_rows(ad.Tensor(np.ones((3, 2))), perm)
 
 
 class TestFiniteDifferenceOracle:

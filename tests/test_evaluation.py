@@ -315,6 +315,20 @@ class TestReportSerialization:
             load_report(path)
 
 
+class TestEvalSettings:
+    def test_non_integers_are_rejected_not_truncated(self):
+        for patch, named in (
+            ({"k_values": (1.5, 10)}, "k_values"),
+            ({"k_values": (True, 10)}, "k_values"),
+            ({"mrr_cap": 10.9}, "mrr_cap"),
+            ({"cold_start_threshold": False}, "cold_start_threshold"),
+        ):
+            with pytest.raises(ValidationError, match=rf"eval settings: {named} must be"):
+                EvalSettings(**patch)
+        settings = EvalSettings(k_values=[1, np.int64(5)], mrr_cap=np.int32(7))
+        assert settings.k_values == (1, 5) and type(settings.mrr_cap) is int
+
+
 class TestConfigFingerprint:
     def test_sensitivity(self):
         g = cycle_graph(10)

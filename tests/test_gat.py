@@ -5,6 +5,7 @@ from graphebr import autodiff as ad
 from graphebr.autodiff import Tensor
 from graphebr.errors import ShapeError, ValidationError
 from graphebr.gat import (
+    _GraphPlan,
     cca_head,
     encode,
     init_params,
@@ -159,6 +160,28 @@ class TestPermutationEquivariance:
             sigma = rng.permutation(n)
             shuffled = encode(params, self.permuted(sub, sigma)).data
             assert np.array_equal(shuffled, base[sigma])
+
+
+class TestGraphPlan:
+    def test_edge_sort_equals_the_two_key_lexsort(self):
+        rng = np.random.default_rng(22)
+        n = 12
+        pairs = rng.integers(0, n, size=(30, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        edges = np.concatenate([pairs, pairs[:, ::-1], pairs[:3]])  # 3 directed duplicates
+        sub = Subgraph(
+            local_features=np.zeros((n, 1)),
+            local_edges=edges,
+            global_ids=rng.permutation(100)[:n],
+            query_locals=np.array([0]),
+        )
+        plan = _GraphPlan(sub)
+        inv = np.empty(n, dtype=np.int64)
+        inv[np.lexsort((sub.global_ids, sub.example_of))] = np.arange(n)
+        src = np.concatenate([inv[edges[:, 0]], np.arange(n)])
+        dst = np.concatenate([inv[edges[:, 1]], np.arange(n)])
+        perm = np.lexsort((src, dst))
+        assert np.array_equal(plan.src, src[perm]) and np.array_equal(plan.dst, dst[perm])
 
 
 class TestKHopLocality:

@@ -257,6 +257,25 @@ class TestSubgraphValidation:
         with pytest.raises(ValidationError, match="per-node arrays"):
             batch([3, 5, 3, 5], [0, 0, 1])
 
+    def test_canonical_order_equals_the_two_key_lexsort(self):
+        rng = np.random.default_rng(21)
+        for trial in range(10):
+            sizes = rng.integers(1, 12, size=4)
+            example_of = np.repeat(rng.permutation(4), sizes)
+            # ids drawn from a small range repeat across examples
+            global_ids = np.concatenate([rng.choice(15, size=k, replace=False) for k in sizes])
+            global_ids += 1000 * (trial % 2)  # ids need not start at 0
+            sub = Subgraph(
+                local_features=np.zeros((len(global_ids), 1)),
+                local_edges=np.zeros((0, 2), dtype=np.int64),
+                global_ids=global_ids,
+                query_locals=np.array([0]),
+                example_of=example_of,
+            )
+            assert np.unique(global_ids).size < global_ids.size
+            want = np.lexsort((global_ids, example_of))
+            assert np.array_equal(sub.canonical_order(), want)
+
     def test_candidates_and_labels_checked(self):
         def example(candidate_rows, labels):
             return Subgraph(

@@ -131,6 +131,21 @@ class TestTrainConfig:
             with pytest.raises(ValidationError, match=rf"train config: {named} must be"):
                 config_from_dict(raw)
 
+    def test_python_callers_get_no_integer_truncation(self):
+        for patch, named in (
+            ({"hidden_dims": (2.5,)}, "hidden_dims"),
+            ({"hidden_dims": (True,)}, "hidden_dims"),
+            ({"steps": 2.5}, "steps"),
+            ({"k": True}, "k"),
+            ({"fanout": 5.0}, "fanout"),
+            ({"seed": np.float64(3.0)}, "seed"),
+        ):
+            with pytest.raises(ValidationError, match=rf"train config: {named} must be"):
+                small_config(**patch)
+        cfg = small_config(hidden_dims=[np.int64(8)], seed=np.int32(4))
+        assert cfg.hidden_dims == (8,) and type(cfg.hidden_dims[0]) is int
+        assert type(cfg.seed) is int
+
     def test_integer_learning_rate_and_null_fanout_accepted(self):
         raw = {**config_to_dict(small_config()), "learning_rate": 1, "fanout": None}
         cfg = config_from_dict(raw)
