@@ -409,6 +409,20 @@ def scatter_add_rows(a, idx, num_rows, plan: ScatterPlan | None = None) -> Tenso
     return _apply("scatter_add_rows", out, (a,), vjp)
 
 
+def _edge_dots(a, b, ia, ib) -> np.ndarray:
+    """One column of row dot products a[ia[e]] . b[ib[e]], one per edge.
+
+    Equals `(a[ia] * b[ib]).sum(axis=1, keepdims=True)` bitwise: each row
+    is summed the same way, but the edges-by-features products exist only
+    1,024 edges at a time.
+    """
+    out = np.empty((ia.size, 1))
+    for lo in range(0, ia.size, 1024):
+        rows = slice(lo, lo + 1024)
+        np.sum(a[ia[rows]] * b[ib[rows]], axis=1, out=out[rows, 0])
+    return out
+
+
 def aggregate(x, src_plan: ScatterPlan, dst_plan: ScatterPlan, weights=None) -> Tensor:
     """Weighted neighbor sum along edges e from src[e] to dst[e].
 
@@ -440,7 +454,7 @@ def aggregate(x, src_plan: ScatterPlan, dst_plan: ScatterPlan, weights=None) -> 
 
     def vjp(g):
         gx = src_plan.edge_matrix(dst, w, g.shape[0]) @ g if grad_x else None
-        gw = (g[dst] * xd[src]).sum(axis=1, keepdims=True) if grad_w else None
+        gw = _edge_dots(g, xd, dst, src) if grad_w else None
         return (gx, gw)
 
     return _apply("aggregate", out, inputs, vjp)

@@ -67,6 +67,10 @@ class SyntheticGraph:
     cold_start_fraction: float = 0.0
     seed: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError("run config: synthetic.seed must be non-negative")
+
 
 @dataclass(frozen=True)
 class RunConfig:

@@ -1,5 +1,5 @@
-"""Exception taxonomy shared across the package, and the integer-field
-check that the config dataclasses share."""
+"""Exception taxonomy shared across the package, the integer-field check
+that the config dataclasses share, and the generator-seed check."""
 
 import numbers
 import operator
@@ -39,6 +39,12 @@ class SkipExample(Exception):
 def is_integer(value) -> bool:
     """An integer, numpy's included, that is not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def require_seed(value, where: str) -> None:
+    """Reject a generator seed that is not a non-negative integer."""
+    if not is_integer(value) or value < 0:
+        raise ValidationError(f"{where}: rng_seed must be a non-negative integer, got {value!r}")
 
 
 def require_integer_fields(obj, where: str) -> None:

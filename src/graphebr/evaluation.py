@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError, require_integer_fields
+from .errors import ShapeError, ValidationError, require_integer_fields, require_seed
 from .graph import GraphStore
 from .index import EmbeddingTable, export_embeddings
 from .index import exact_topk  # noqa: F401  (benchmarks/workloads.py traces this name)
@@ -191,6 +191,7 @@ def split_edges(graph: GraphStore, holdout_fraction: float, rng_seed):
     """
     if not 0.0 < holdout_fraction < 0.5:
         raise ValidationError("split: holdout_fraction must lie in (0, 0.5)")
+    require_seed(rng_seed, "split")
     pairs = graph.undirected_edges()
     if len(pairs) == 0:
         raise ValidationError("split: graph has no edges to hold out")

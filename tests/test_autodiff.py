@@ -262,6 +262,22 @@ class TestAggregate:
         g_x, g_w = vjp(np.ones((n_out, 3)))
         assert g_x is None and g_w.shape == (src.size, 1)
 
+    @pytest.mark.parametrize("num_edges", [1024, 2500])
+    def test_blocked_weight_gradient_equals_the_whole_array_sum_bitwise(self, num_edges):
+        # the weight gradient is summed 1,024 edges at a time; 2,500 ends
+        # in a partial block
+        rng = np.random.default_rng(15)
+        n_in, n_out = 300, 200
+        src, dst = rng.integers(0, n_in, num_edges), rng.integers(0, n_out, num_edges)
+        x = rng.normal(size=(n_in, 32))
+        w = ad.Tensor(rng.uniform(size=(num_edges, 1)), requires_grad=True)
+        _aggregate_fused(ad.Tensor(x), w, src, dst, n_out)
+        (_, _, vjp), = ad.active_tape().records
+        ad.active_tape().clear()
+        g = rng.normal(size=(n_out, 32))
+        _, g_w = vjp(g)
+        assert g_w.tobytes() == (g[dst] * x[src]).sum(axis=1, keepdims=True).tobytes()
+
     def test_mismatched_operands_rejected(self):
         x = ad.Tensor(np.ones((3, 2)))
         plan3, plan4 = ad.ScatterPlan([0, 1, 2], 3), ad.ScatterPlan([0, 1, 2, 0], 3)

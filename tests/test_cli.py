@@ -93,6 +93,18 @@ class TestSynth:
         assert code == 1
         assert_single_error_line(capsys)
 
+    def test_negative_seed_exits_one_naming_it(self, tmp_path, capsys):
+        code = cli_main([
+            "synth", "--nodes", "30", "--p-in", "0.3", "--p-out", "0.05",
+            "--feature-dim", "5", "--seed", "-1",
+            "--edges-out", str(tmp_path / "e"), "--features-out", str(tmp_path / "f"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.strip().count("\n") == 0
+        assert "rng_seed must be a non-negative integer, got -1" in err
+        assert not (tmp_path / "e").exists()
+
 
 class TestRunConfig:
     def test_parses_defaults(self, tmp_path):
@@ -184,6 +196,17 @@ class TestRunConfig:
             assert err.startswith("error: ") and err.strip().count("\n") == 0
             assert f"run config: {named}" in err
             assert not (tmp_path / "run").exists()
+
+    def test_negative_synthetic_seed_exits_one_naming_it(self, tmp_path, capsys):
+        raw = base_config(tmp_path)
+        raw["synthetic"]["seed"] = -3
+        assert cli_main(["train", "--config", write_config(tmp_path, raw)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.strip().count("\n") == 0
+        assert "run config: synthetic.seed must be non-negative" in err
+        assert not (tmp_path / "run").exists()
+        with pytest.raises(ValidationError, match="synthetic.seed must be non-negative"):
+            SyntheticGraph(num_nodes=40, p_in=0.25, p_out=0.05, feature_dim=6, seed=-1)
 
     def test_mistyped_run_fields_exit_one_without_coercion(self, tmp_path, capsys):
         for name, value, named in (
