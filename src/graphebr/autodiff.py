@@ -15,7 +15,7 @@ from contextlib import contextmanager
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DomainError, NumericError, ShapeError, ValidationError
+from .errors import DomainError, NumericError, ShapeError, ValidationError, require_seed
 
 STD_EPSILON = 1e-8
 NORM_FLOOR = 1e-12
@@ -535,6 +535,7 @@ def primitive_gradient_suite(seed: int) -> list:
 
     Returns (name, max_relative_error) pairs; used by tests and the CLI.
     """
+    require_seed(seed, "gradient suite")
     rng = np.random.default_rng(seed)
 
     def mat(r, c, low=-1.0, high=1.0):

@@ -1,9 +1,13 @@
 """Embedding export plus exact and approximate top-k retrieval.
 
 The exact path is a full dot-product scan with deterministic tie-breaking.
-The approximate path is a layered navigable-small-world graph searched with
-a best-first beam; similarity is the raw dot product in both paths so
-serving matches the geometry the retrieval loss trained.
+The approximate path is a layered navigable-small-world graph (HNSW) searched
+with a best-first beam; similarity is the raw dot product in both paths so
+serving matches the geometry the retrieval loss trained. The graph is one
+padded neighbour array per layer, which the build writes in place, the beam
+reads row by row, validation checks as arrays, and the JSON index document
+lists without its padding. When exclusions leave the beam short of k ids,
+the approximate path answers with the exact scan.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, require_seed
 from .gat import EncoderParams, encode
 from .graph import GraphStore
 # Export samples through khop_batch and never calls khop_subgraph; the
@@ -130,23 +134,23 @@ def _as_query(table_dim: int, query_vec) -> np.ndarray:
     return q
 
 
-def exact_topk(table: EmbeddingTable, query_vec, k: int, exclude=()) -> TopkResult:
-    """Full-scan top-k by dot product, ties broken by ascending node id.
-
-    Every row is scored, so a candidate's score does not depend on the
-    exclusion set; only the kept rows scoring at least the k-th best are
-    sorted.
-    """
-    if k < 1:
-        raise ValidationError("topk: k must be >= 1")
-    q = _as_query(table.dim, query_vec)
-    keep = np.ones(table.num_nodes, dtype=bool)
+def _excluded_ids(exclude, num_nodes: int) -> np.ndarray:
+    """The exclusion set as ids; one out-of-range rule for both search paths."""
     excluded = np.fromiter((int(e) for e in exclude), dtype=np.int64)
-    if excluded.size:
-        if excluded.min() < 0 or excluded.max() >= table.num_nodes:
-            raise ValidationError("topk: excluded id out of range")
-        keep[excluded] = False
-    scores = table.vectors @ q
+    if excluded.size and (excluded.min() < 0 or excluded.max() >= num_nodes):
+        raise ValidationError("topk: excluded id out of range")
+    return excluded
+
+
+def _scan_topk(vectors, q, k: int, excluded) -> TopkResult:
+    """Score every row, drop the excluded ones, rank by score then id.
+
+    A candidate's score does not depend on the exclusion set; only the kept
+    rows scoring at least the k-th best are sorted.
+    """
+    keep = np.ones(len(vectors), dtype=bool)
+    keep[excluded] = False
+    scores = vectors @ q
     ids = np.flatnonzero(keep)
     truncated = k > len(ids)
     if k < len(ids):
@@ -157,13 +161,24 @@ def exact_topk(table: EmbeddingTable, query_vec, k: int, exclude=()) -> TopkResu
     return TopkResult(ids=ids, scores=scores[ids], truncated=truncated)
 
 
+def exact_topk(table: EmbeddingTable, query_vec, k: int, exclude=()) -> TopkResult:
+    """Full-scan top-k by dot product, ties broken by ascending node id."""
+    if k < 1:
+        raise ValidationError("topk: k must be >= 1")
+    q = _as_query(table.dim, query_vec)
+    return _scan_topk(table.vectors, q, k, _excluded_ids(exclude, table.num_nodes))
+
+
 @dataclass
 class AnnIndex:
     """Layered proximity graph over the embedding rows.
 
-    layers[L] maps node id to its neighbor list at layer L; a node appears
-    in layers 0..levels[id]. Per-layer degree is capped at m_conn, twice
-    that on the bottom layer.
+    layers[L] is an (n, cap_L) intp array. Row i holds node i's links at
+    layer L in the order they were made, then -1 padding. cap_0 is
+    2 * m_conn and cap_L is m_conn above, each at most n - 1; a node whose
+    level is below L has an all -1 row. So the graph takes
+    n * (2 * m_conn + m_conn * max_level) integers: 6.4 MB for 10,000 rows
+    at m_conn 16 with three upper layers.
     """
 
     vectors: np.ndarray
@@ -178,8 +193,10 @@ class AnnIndex:
         return len(self.layers) - 1
 
 
-def _degree_cap(m_conn: int, layer: int) -> int:
-    return 2 * m_conn if layer == 0 else m_conn
+def _degree_cap(m_conn: int, layer: int, num_nodes: int) -> int:
+    """Row width of a layer: a node links to at most num_nodes - 1 others,
+    so m_conn alone never sizes the array."""
+    return max(0, min(2 * m_conn if layer == 0 else m_conn, num_nodes - 1))
 
 
 def _closest(vectors, center: int, ids, cap: int):
@@ -189,29 +206,31 @@ def _closest(vectors, center: int, ids, cap: int):
     return ids[np.lexsort((ids, -scores))[:cap]].tolist()
 
 
-def _greedy_descent(vectors, adjacency, q, start: int) -> int:
+def _greedy_descent(vectors, links, q, start: int) -> int:
     """Hill-climb to a local similarity maximum; strict improvement only."""
     best = int(start)
     best_score = float(vectors[best] @ q)
-    improved = True
-    while improved:
-        improved = False
-        neighbors = adjacency.get(best, ())
-        if not neighbors:
-            break
-        scores = vectors[neighbors] @ q
+    while True:
+        row = links[best]
+        neighbors = row[row >= 0]
+        if not neighbors.size:
+            return best
+        scores = np.dot(vectors.take(neighbors, axis=0), q)
         pick = int(np.lexsort((neighbors, -scores))[0])
-        if scores[pick] > best_score:
-            best, best_score = int(neighbors[pick]), float(scores[pick])
-            improved = True
-    return best
+        if not scores[pick] > best_score:
+            return best
+        best, best_score = int(neighbors[pick]), float(scores[pick])
 
 
-def _search_layer(vectors, adjacency, q, entries, ef: int):
+def _search_layer(vectors, links, q, entries, ef: int):
     """Best-first beam of width ef; returns (score, id) pairs, unordered."""
-    entries = sorted(set(int(e) for e in entries))
-    scores = vectors[entries] @ q
-    visited = set(entries)
+    entries = np.unique(np.asarray(entries, dtype=np.intp))
+    # slot n is what the -1 padding indexes, so padding always reads as seen
+    unseen = np.ones(len(vectors) + 1, dtype=bool)
+    unseen[-1] = False
+    unseen[entries] = False
+    scores = np.dot(vectors.take(entries, axis=0), q).tolist()
+    entries = entries.tolist()
     frontier = [(-s, e) for s, e in zip(scores, entries)]
     heapq.heapify(frontier)
     best = list(zip(scores, entries))
@@ -220,20 +239,26 @@ def _search_layer(vectors, adjacency, q, entries, ef: int):
         heapq.heappop(best)
     while frontier:
         neg_score, node = heapq.heappop(frontier)
-        if len(best) == ef and -neg_score < best[0][0]:
+        full = len(best) == ef
+        if full and -neg_score < best[0][0]:
             break
-        fresh = [n for n in adjacency.get(node, ()) if n not in visited]
-        if not fresh:
+        row = links[node]
+        fresh = row[unseen[row]]
+        if not fresh.size:
             continue
-        visited.update(fresh)
-        fresh_scores = vectors[fresh] @ q
-        for s, n in zip(fresh_scores, fresh):
+        unseen[fresh] = False
+        fresh_scores = np.dot(vectors.take(fresh, axis=0), q)
+        if full:
+            # the floor only rises, so a score at or below it now is never pushed
+            above = fresh_scores > best[0][0]
+            fresh, fresh_scores = fresh[above], fresh_scores[above]
+        for s, n in zip(fresh_scores.tolist(), fresh.tolist()):
             if len(best) < ef:
-                heapq.heappush(best, (float(s), n))
-                heapq.heappush(frontier, (-float(s), n))
+                heapq.heappush(best, (s, n))
+                heapq.heappush(frontier, (-s, n))
             elif s > best[0][0]:
-                heapq.heappushpop(best, (float(s), n))
-                heapq.heappush(frontier, (-float(s), n))
+                heapq.heappushpop(best, (s, n))
+                heapq.heappush(frontier, (-s, n))
     return best
 
 
@@ -250,43 +275,47 @@ def build_ann_index(table: EmbeddingTable, m_conn: int = 16, ef_construction: in
         raise ValidationError("ann build: m_conn must be >= 2")
     if ef_construction < 1:
         raise ValidationError("ann build: ef_construction must be >= 1")
+    require_seed(rng_seed, "ann build")
     vectors = table.vectors
     rng = np.random.default_rng(rng_seed)
     # 1 - U is in (0, 1], so the log never sees zero
     draws = 1.0 - rng.random(table.num_nodes)
     levels = np.floor(-np.log(draws) / np.log(m_conn)).astype(np.int64)
 
-    layers = [dict() for _ in range(int(levels[0]) + 1)]
-    for layer in layers:
-        layer[0] = []
-    entry_point = 0
+    layers = [
+        np.full((table.num_nodes, _degree_cap(m_conn, L, table.num_nodes)), -1, dtype=np.intp)
+        for L in range(int(levels.max()) + 1)
+    ]
+    # links per row, kept only while building: rows fill from the left
+    degrees = [[0] * table.num_nodes for _ in layers]
+    top, entry_point = int(levels[0]), 0
 
     for node in range(1, table.num_nodes):
         q = vectors[node]
         level = int(levels[node])
-        top = len(layers) - 1
         current = entry_point
         for layer_id in range(top, level, -1):
             current = _greedy_descent(vectors, layers[layer_id], q, current)
 
         entries = [current]
         for layer_id in range(min(level, top), -1, -1):
-            adjacency = layers[layer_id]
-            found = _search_layer(vectors, adjacency, q, entries, ef_construction)
+            links, degree = layers[layer_id], degrees[layer_id]
+            cap = links.shape[1]
+            found = _search_layer(vectors, links, q, entries, ef_construction)
             ranked = [n for _, n in sorted(found, key=lambda sn: (-sn[0], sn[1]))]
-            neighbors = ranked[: m_conn]
-            adjacency[node] = list(neighbors)
-            cap = _degree_cap(m_conn, layer_id)
+            neighbors = ranked[:m_conn]
+            links[node, : len(neighbors)] = neighbors
+            degree[node] = len(neighbors)
             for nbr in neighbors:
-                links = adjacency[nbr]
-                links.append(node)
-                if len(links) > cap:
-                    adjacency[nbr] = _closest(vectors, nbr, links, cap)
+                if degree[nbr] < cap:
+                    links[nbr, degree[nbr]] = node
+                    degree[nbr] += 1
+                else:
+                    links[nbr] = _closest(vectors, nbr, np.append(links[nbr], node), cap)
             entries = ranked
 
-        while level >= len(layers):
-            layers.append({node: []})
-            entry_point = node
+        if level > top:
+            top, entry_point = level, node
 
     return AnnIndex(
         vectors=vectors,
@@ -299,75 +328,118 @@ def build_ann_index(table: EmbeddingTable, m_conn: int = 16, ef_construction: in
 
 
 def ann_topk(index: AnnIndex, query_vec, k: int, ef_search: int = 64, exclude=()) -> TopkResult:
-    """Beam-searched top-k; results ranked by true score, ties by id."""
+    """Beam-searched top-k; results ranked by true score, ties by id.
+
+    Exclusions are applied to the beam. When they leave fewer than k ids
+    in it, the answer is the exact scan's, so truncated means only that k
+    exceeds the candidates.
+    """
     if k < 1:
         raise ValidationError("ann topk: k must be >= 1")
     if ef_search < k:
         raise ValidationError(f"ann topk: ef_search {ef_search} < k {k}")
     q = _as_query(index.vectors.shape[1], query_vec)
+    excluded = _excluded_ids(exclude, len(index.vectors))
     current = index.entry_point
     for layer_id in range(index.max_level, 0, -1):
         current = _greedy_descent(index.vectors, index.layers[layer_id], q, current)
     found = _search_layer(index.vectors, index.layers[0], q, [current], ef_search)
-    banned = set(int(e) for e in exclude)
-    kept = [(s, n) for s, n in found if n not in banned]
-    kept.sort(key=lambda sn: (-sn[0], sn[1]))
+    banned = set(excluded.tolist())
+    kept = sorted((sn for sn in found if sn[1] not in banned), key=lambda sn: (-sn[0], sn[1]))
+    if len(kept) < k:
+        return _scan_topk(index.vectors, q, k, excluded)
     top = kept[:k]
     return TopkResult(
         ids=np.array([n for _, n in top], dtype=np.int64),
         scores=np.array([s for s, _ in top]),
-        truncated=len(top) < k,
+        truncated=False,
     )
 
 
 def validate_index(index: AnnIndex):
     """Check the structural invariants; raises ValidationError on breakage."""
     n = index.vectors.shape[0]
-    if index.levels.shape != (n,):
-        raise ValidationError(f"ann index: levels of shape {index.levels.shape} for {n} rows")
+    levels = index.levels
+    if levels.shape != (n,):
+        raise ValidationError(f"ann index: levels of shape {levels.shape} for {n} rows")
     if not 0 <= index.entry_point < n:
         raise ValidationError("ann index: entry point out of range")
-    if int(index.levels[index.entry_point]) != index.max_level:
+    if int(levels[index.entry_point]) != index.max_level:
         raise ValidationError("ann index: entry point is not on the top layer")
-    for layer_id, adjacency in enumerate(index.layers):
-        cap = _degree_cap(index.m_conn, layer_id)
-        for node, neighbors in adjacency.items():
-            if not 0 <= node < n:
-                raise ValidationError(f"ann index: node {node} out of range at layer {layer_id}")
-            if index.levels[node] < layer_id:
-                raise ValidationError(f"ann index: node {node} too low for layer {layer_id}")
-            if len(neighbors) > cap:
-                raise ValidationError(f"ann index: degree {len(neighbors)} over cap at layer {layer_id}")
-            if len(set(neighbors)) != len(neighbors) or node in neighbors:
-                raise ValidationError(f"ann index: self or duplicate link at node {node}")
-            for nbr in neighbors:
-                if nbr not in adjacency:
-                    raise ValidationError(f"ann index: link {node}->{nbr} leaves layer {layer_id}")
-    reached = {index.entry_point}
-    queue = [index.entry_point]
-    while queue:
-        node = queue.pop()
-        for nbr in index.layers[0].get(node, ()):
-            if nbr not in reached:
-                reached.add(nbr)
-                queue.append(nbr)
-    if len(reached) != n:
-        raise ValidationError(f"ann index: only {len(reached)} of {n} nodes reachable")
+    for layer_id, links in enumerate(index.layers):
+        cap = _degree_cap(index.m_conn, layer_id, n)
+        if not isinstance(links, np.ndarray) or links.dtype != np.intp or links.shape != (n, cap):
+            raise ValidationError(f"ann index: layer {layer_id} is not an ({n}, {cap}) intp array")
+        linked = links != -1
+        too_low = linked.any(axis=1) & (levels < layer_id)
+        if too_low.any():
+            raise ValidationError(f"ann index: node {np.argmax(too_low)} too low for layer {layer_id}")
+        src, slot = np.nonzero(linked)
+        dst = links[src, slot]
+        leaves = (dst < 0) | (dst >= n)
+        leaves[~leaves] = levels[dst[~leaves]] < layer_id
+        if leaves.any():
+            i = np.argmax(leaves)
+            raise ValidationError(f"ann index: link {src[i]}->{dst[i]} leaves layer {layer_id}")
+        gap = linked[:, 1:] & ~linked[:, :-1]
+        if gap.any():
+            raise ValidationError(f"ann index: link after padding at node {np.argmax(gap.any(axis=1))}")
+        ordered = np.sort(links, axis=1)
+        repeated = ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] != -1)).any(axis=1)
+        repeated |= (links == np.arange(n)[:, None]).any(axis=1)
+        if repeated.any():
+            raise ValidationError(f"ann index: self or duplicate link at node {np.argmax(repeated)}")
+    reached = np.zeros(n + 1, dtype=bool)
+    reached[[index.entry_point, n]] = True
+    frontier = np.array([index.entry_point])
+    while frontier.size:
+        nbrs = index.layers[0][frontier].ravel()
+        frontier = np.unique(nbrs[~reached[nbrs]])
+        reached[frontier] = True
+    count = int(reached[:n].sum())
+    if count != n:
+        raise ValidationError(f"ann index: only {count} of {n} nodes reachable")
 
 
 def index_to_dict(index: AnnIndex) -> dict:
+    """The JSON document of an index: per layer, each node on it mapped to
+    its links without padding."""
+    layers = []
+    for layer_id, links in enumerate(index.layers):
+        nodes = np.flatnonzero(index.levels >= layer_id)
+        rows = links[nodes]
+        degree = np.count_nonzero(rows != -1, axis=1)
+        layers.append({
+            str(node): row[:d] for node, row, d in zip(nodes.tolist(), rows.tolist(), degree.tolist())
+        })
     return {
         "version": "1",
         "m_conn": index.m_conn,
         "ef_construction": index.ef_construction,
         "entry_point": index.entry_point,
         "levels": index.levels.tolist(),
-        "layers": [
-            {str(node): list(neighbors) for node, neighbors in adjacency.items()}
-            for adjacency in index.layers
-        ],
+        "layers": layers,
         "vectors": index.vectors.tolist(),
     }
+
+
+def _layer_from_dict(adjacency: dict, layer_id: int, levels: np.ndarray, cap: int) -> np.ndarray:
+    """One layer of a document as a padded array; validate_index checks the rest."""
+    links = np.full((len(levels), cap), -1, dtype=np.intp)
+    for key, neighbors in adjacency.items():
+        node = int(key)
+        if not 0 <= node < len(levels):
+            raise ValidationError(f"ann index: node {node} out of range at layer {layer_id}")
+        if levels[node] < layer_id:
+            raise ValidationError(f"ann index: node {node} too low for layer {layer_id}")
+        if len(neighbors) > cap:
+            raise ValidationError(f"ann index: degree {len(neighbors)} over cap at layer {layer_id}")
+        row = [int(nbr) for nbr in neighbors]
+        if row and min(row) < 0:
+            # -1 is the padding value, so no negative id may enter the array
+            raise ValidationError(f"ann index: link {node}->{min(row)} leaves layer {layer_id}")
+        links[node, : len(row)] = row
+    return links
 
 
 def index_from_dict(raw) -> AnnIndex:
@@ -377,20 +449,22 @@ def index_from_dict(raw) -> AnnIndex:
     if raw.get("version") != "1":
         raise ValidationError(f"ann index: unsupported version {raw.get('version')!r}")
     try:
+        m_conn = int(raw["m_conn"])
+        levels = np.asarray(raw["levels"], dtype=np.int64)
         index = AnnIndex(
             vectors=EmbeddingTable(raw["vectors"]).vectors,
-            m_conn=int(raw["m_conn"]),
+            m_conn=m_conn,
             ef_construction=int(raw["ef_construction"]),
             entry_point=int(raw["entry_point"]),
-            levels=np.asarray(raw["levels"], dtype=np.int64),
+            levels=levels,
             layers=[
-                {int(node): [int(n) for n in neighbors] for node, neighbors in adjacency.items()}
-                for adjacency in raw["layers"]
+                _layer_from_dict(adjacency, layer_id, levels, _degree_cap(m_conn, layer_id, len(levels)))
+                for layer_id, adjacency in enumerate(raw["layers"])
             ],
         )
     except ValidationError:
         raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ValidationError(f"ann index: malformed document ({exc})") from exc
     validate_index(index)
     return index

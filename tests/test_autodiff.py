@@ -332,3 +332,8 @@ class TestPrimitiveGradients:
     def test_every_primitive_matches_finite_differences(self, seed):
         for name, err in ad.primitive_gradient_suite(seed):
             assert err < 1e-4, f"{name}: relative error {err}"
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_bad_seed_rejected_naming_it(self, seed):
+        with pytest.raises(ValidationError, match="gradient suite: rng_seed must be a non-negative integer"):
+            ad.primitive_gradient_suite(seed)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import is_dataclass
 from typing import get_args, get_type_hints
 
@@ -15,7 +18,8 @@ from graphebr.cli import (
 from graphebr.errors import ValidationError
 from graphebr.evaluation import EvalSettings
 from graphebr.graph import load_graph
-from graphebr.index import EmbeddingTable, build_ann_index, index_to_dict, load_table
+import graphebr
+from graphebr.index import EmbeddingTable, build_ann_index, index_to_dict, load_table, save_table
 from graphebr.losses import CcaConfig, LossWeights, MaeConfig
 from graphebr.sampling import AugmentationConfig
 from graphebr.training import _JSON_TYPES, TrainConfig, load_dataclass
@@ -444,6 +448,16 @@ class TestEmbedIndexRetrieve:
             assert err.startswith("error: ann index: ") and err.strip().count("\n") == 0
             assert named in err
 
+    def test_index_negative_seed_exits_one_naming_it(self, tmp_path, capsys):
+        table_path = str(tmp_path / "table.txt")
+        save_table(EmbeddingTable(np.random.default_rng(6).normal(size=(5, 3))), table_path)
+        index_path = tmp_path / "index.json"
+        assert cli_main(["index", "--table", table_path, "--output", str(index_path), "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.strip().count("\n") == 0
+        assert "ann build: rng_seed must be a non-negative integer, got -1" in err
+        assert not index_path.exists()
+
     def test_table_and_index_are_mutually_exclusive(self, tmp_path, capsys):
         assert cli_main(["retrieve", "--table", "t", "--index", "i",
                          "--queries", "q"]) == 2
@@ -462,3 +476,18 @@ class TestGradcheck:
     def test_unreachable_tolerance_fails(self, capsys):
         assert cli_main(["gradcheck", "--seed", "7", "--tolerance", "1e-30"]) == 1
         assert_single_error_line(capsys)
+
+    def test_python_m_runs_the_cli_and_names_a_bad_seed(self):
+        package_root = os.path.dirname(os.path.dirname(graphebr.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])
+        )}
+        done = subprocess.run(
+            [sys.executable, "-m", "graphebr.cli", "gradcheck", "--seed", "-1"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == (
+            "error: gradient suite: rng_seed must be a non-negative integer, got -1\n"
+        )

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import warnings
 
 import numpy as np
@@ -223,7 +225,10 @@ class TestAnnBuild:
     def test_single_node_index(self):
         index = build_ann_index(EmbeddingTable(np.ones((1, 4))), m_conn=4)
         assert index.entry_point == 0
-        assert all(index.layers[L][0] == [] for L in range(len(index.layers)))
+        # a lone node links to nobody, so every row is empty whatever m_conn is
+        assert [layer.shape for layer in index.layers] == [(1, 0)] * len(index.layers)
+        assert all((layer == -1).all() for layer in index.layers)
+        assert index_to_dict(index)["layers"] == [{"0": []}] * len(index.layers)
         validate_index(index)
 
     def test_same_seed_same_structure(self):
@@ -232,15 +237,20 @@ class TestAnnBuild:
         b = build_ann_index(table, m_conn=8, ef_construction=40, rng_seed=5)
         assert a.entry_point == b.entry_point
         assert np.array_equal(a.levels, b.levels)
-        assert a.layers == b.layers
+        assert len(a.layers) == len(b.layers)
+        assert all(np.array_equal(x, y) for x, y in zip(a.layers, b.layers))
 
     def test_structural_invariants_hold(self):
         table = EmbeddingTable(unit_rows(500, 8, seed=4))
         index = build_ann_index(table, m_conn=6, ef_construction=40, rng_seed=6)
         validate_index(index)
-        cap0 = 2 * index.m_conn
-        assert max(len(v) for v in index.layers[0].values()) <= cap0
-        assert len(index.layers[0]) == 500
+        assert len(index.layers) == int(index.levels.max()) + 1
+        for L, layer in enumerate(index.layers):
+            assert layer.dtype == np.intp
+            assert layer.shape == (500, 12 if L == 0 else 6)
+            # a row exists for every node, but only nodes on the layer link
+            assert (layer[index.levels < L] == -1).all()
+        assert (index.layers[0][:, 0] != -1).all()
 
     def test_bad_arguments_rejected(self):
         table = EmbeddingTable(np.ones((2, 2)))
@@ -250,6 +260,9 @@ class TestAnnBuild:
             build_ann_index(table, ef_construction=0)
         with pytest.raises(ValidationError):
             build_ann_index(EmbeddingTable(np.ones((0, 2)).reshape(0, 2)))
+        for seed in (-1, 1.5, True):
+            with pytest.raises(ValidationError, match="ann build: rng_seed must be a non-negative integer"):
+                build_ann_index(table, rng_seed=seed)
 
 
 class TestAnnSearch:
@@ -288,6 +301,31 @@ class TestAnnSearch:
             np.testing.assert_allclose(result.scores, table.vectors[result.ids] @ q)
             assert all(s1 >= s2 for s1, s2 in zip(result.scores, result.scores[1:]))
 
+    def test_beam_emptied_by_exclusions_answers_like_the_exact_scan(self):
+        table = EmbeddingTable(unit_rows(200, 8, seed=24))
+        index = build_ann_index(table, m_conn=6, ef_construction=30, rng_seed=25)
+        q = table.vectors[11]
+        # a hub: its friends are its 40 nearest rows, more than the beam holds
+        friends = set(exact_topk(table, q, k=40).ids.tolist())
+        for k, kept in ((10, 200), (10, 45), (10, 3)):
+            exclude = friends | set(range(kept, 200))
+            got = ann_topk(index, q, k=k, ef_search=16, exclude=exclude)
+            want = exact_topk(table, q, k=k, exclude=exclude)
+            assert got.ids.tobytes() == want.ids.tobytes()
+            assert got.scores.tobytes() == want.scores.tobytes()
+            assert got.truncated == want.truncated == (len(want.ids) < k)
+
+    def test_out_of_range_exclusions_rejected_like_the_exact_scan(self):
+        table = EmbeddingTable(unit_rows(20, 4, seed=26))
+        index = build_ann_index(table, m_conn=4, rng_seed=27)
+        for bad in ({20}, {-1}, {3, 99}):
+            for search in (
+                lambda: exact_topk(table, table.vectors[0], k=3, exclude=bad),
+                lambda: ann_topk(index, table.vectors[0], k=3, exclude=bad),
+            ):
+                with pytest.raises(ValidationError, match="topk: excluded id out of range"):
+                    search()
+
     def test_good_recall_at_moderate_scale(self):
         table = EmbeddingTable(unit_rows(1500, 16, seed=15))
         index = build_ann_index(table, m_conn=12, ef_construction=60, rng_seed=16)
@@ -313,8 +351,11 @@ class TestIndexSerialization:
         assert loaded.m_conn == index.m_conn
         assert loaded.ef_construction == index.ef_construction
         assert np.array_equal(loaded.levels, index.levels)
-        assert loaded.layers == index.layers
+        assert len(loaded.layers) == len(index.layers)
+        for a, b in zip(loaded.layers, index.layers):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
         np.testing.assert_array_equal(loaded.vectors, index.vectors)
+        assert index_to_dict(loaded) == index_to_dict(index)
         validate_index(loaded)
 
     def test_unknown_version_rejected(self):
@@ -325,24 +366,147 @@ class TestIndexSerialization:
 
 
 class TestValidateIndex:
-    def test_detects_degree_violation(self):
+    """Each corruption, of the document or of the arrays, is one ValidationError."""
+
+    def build(self):
         table = EmbeddingTable(unit_rows(50, 4, seed=20))
         index = build_ann_index(table, m_conn=4, ef_construction=20, rng_seed=21)
-        node = next(iter(index.layers[0]))
-        index.layers[0][node] = [n for n in index.layers[0] if n != node][: 2 * 4 + 1]
-        with pytest.raises(ValidationError):
+        validate_index(index)
+        return index
+
+    def test_detects_degree_violation(self):
+        doc = index_to_dict(self.build())
+        doc["layers"][0]["0"] = list(range(1, 2 * 4 + 2))
+        with pytest.raises(ValidationError, match="degree 9 over cap at layer 0"):
+            index_from_dict(doc)
+
+    def test_detects_self_link(self):
+        index = self.build()
+        index.layers[0][3, 0] = 3
+        with pytest.raises(ValidationError, match="self or duplicate link at node 3"):
             validate_index(index)
 
-    def test_detects_unreachable_node(self):
-        table = EmbeddingTable(unit_rows(50, 4, seed=22))
-        index = build_ann_index(table, m_conn=4, ef_construction=20, rng_seed=23)
-        for node, neighbors in index.layers[0].items():
-            index.layers[0][node] = [n for n in neighbors if n != 7]
-        index.layers[0][7] = []
-        if int(index.levels[7]) > 0:
-            for L in range(1, int(index.levels[7]) + 1):
-                for node in index.layers[L]:
-                    index.layers[L][node] = [n for n in index.layers[L][node] if n != 7]
-                index.layers[L][7] = []
-        with pytest.raises(ValidationError):
+    def test_detects_duplicate_link(self):
+        doc = index_to_dict(self.build())
+        links = doc["layers"][0]["3"]
+        links[-1] = links[0]
+        with pytest.raises(ValidationError, match="self or duplicate link at node 3"):
+            index_from_dict(doc)
+
+    def test_detects_out_of_range_ids(self):
+        index = self.build()
+        index.layers[0][3, 0] = 50
+        with pytest.raises(ValidationError, match="link 3->50 leaves layer 0"):
             validate_index(index)
+        index.layers[0][3, 0] = -2
+        with pytest.raises(ValidationError, match="link 3->-2 leaves layer 0"):
+            validate_index(index)
+        doc = index_to_dict(self.build())
+        doc["layers"][0]["3"][0] = -1
+        with pytest.raises(ValidationError, match="link 3->-1 leaves layer 0"):
+            index_from_dict(doc)
+
+    def test_detects_link_leaving_its_layer(self):
+        index = self.build()
+        upper = np.flatnonzero(index.levels >= 1)[0]
+        lower = np.flatnonzero(index.levels == 0)[0]
+        index.layers[1][upper, 0] = lower
+        with pytest.raises(ValidationError, match=f"link {upper}->{lower} leaves layer 1"):
+            validate_index(index)
+
+    def test_detects_links_above_a_nodes_level(self):
+        index = self.build()
+        lower = np.flatnonzero(index.levels == 0)[0]
+        index.layers[1][lower, 0] = index.entry_point
+        with pytest.raises(ValidationError, match=f"node {lower} too low for layer 1"):
+            validate_index(index)
+        doc = index_to_dict(self.build())
+        doc["layers"][1][str(lower)] = []
+        with pytest.raises(ValidationError, match=f"node {lower} too low for layer 1"):
+            index_from_dict(doc)
+
+    def test_detects_link_after_padding(self):
+        index = self.build()
+        row = index.layers[0][3]
+        row[0] = -1
+        with pytest.raises(ValidationError, match="link after padding at node 3"):
+            validate_index(index)
+
+    def test_detects_a_layer_of_the_wrong_shape(self):
+        index = self.build()
+        index.layers[0] = index.layers[0][:, :-1]
+        with pytest.raises(ValidationError, match=r"layer 0 is not an \(50, 8\) intp array"):
+            validate_index(index)
+
+    def test_row_width_is_bounded_by_the_node_count(self):
+        doc = index_to_dict(self.build())
+        doc["m_conn"] = 10**12
+        assert [layer.shape for layer in index_from_dict(doc).layers][:2] == [(50, 49), (50, 49)]
+
+    def test_detects_unreachable_node(self):
+        index = self.build()
+        assert index.entry_point != 7
+        doc = index_to_dict(index)
+        for layer in doc["layers"]:
+            for node, links in layer.items():
+                layer[node] = [n for n in links if n != 7]
+            if "7" in layer:
+                layer["7"] = []
+        with pytest.raises(ValidationError, match="only 49 of 50 nodes reachable"):
+            index_from_dict(doc)
+
+# sha256 of json.dumps(index_to_dict(index), sort_keys=True), recorded from
+# the dict-of-lists build that the array adjacency replaced: every link list,
+# level and entry point must come out the same, in the same order.
+PINNED_INDEXES = [
+    ("one_row", np.ones((1, 4)), dict(m_conn=4),
+     "a0e3f3f34bf1dd35feff2c10c401f8c3762b82b3dad8ffc6106a7a1f2e98c67b"),
+    ("m_conn_2", unit_rows(60, 4, seed=30), dict(m_conn=2, ef_construction=10, rng_seed=31),
+     "22348ac68685de36bc5fb68f21d7b21e770aba4d4948c02456bfc1e11e2087d2"),
+    ("all_equal", np.ones((40, 3)), dict(m_conn=4, ef_construction=8, rng_seed=32),
+     "d0a3cd4ea9326ffdf5b090ade0245bd329554c2c19a24c78d9a7ba6c3a3b25a7"),
+    ("n_below_ef", unit_rows(25, 5, seed=33), dict(m_conn=4, ef_construction=100, rng_seed=34),
+     "027889735ea751e05f5ce9a3dc57e80acf9406df64af5c84619636c1cb8670d4"),
+    ("300x8", unit_rows(300, 8, seed=3), dict(m_conn=8, ef_construction=40, rng_seed=5),
+     "b48c34ae0bc0960ed3c4ce74fede29d44b8dbbab240ee19528b819b8fc168dd8"),
+    ("many_layers", unit_rows(500, 6, seed=35), dict(m_conn=3, ef_construction=20, rng_seed=36),
+     "4475e7e826be4155bec2557ebf20040722e2284f9a68415428cd9b8f4f6e2a95"),
+]
+
+# Queries of the answer digest below whose beam held fewer than k ids
+# outside the exclusion set; they now fall back to the exact scan.
+SHORT_IN_BEAM = {5, 6, 11, 12, 17, 18, 23, 24, 30, 36, 37, 42, 43, 48, 49, 54, 55}
+
+
+class TestPinnedIndex:
+    @pytest.mark.parametrize("name, rows, kwargs, digest", PINNED_INDEXES, ids=[c[0] for c in PINNED_INDEXES])
+    def test_build_is_bitwise_pinned(self, name, rows, kwargs, digest, tmp_path):
+        index = build_ann_index(EmbeddingTable(rows), **kwargs)
+        text = json.dumps(index_to_dict(index), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        path = tmp_path / "index.json"
+        save_index(index, path)
+        assert path.read_text() == text
+        if name == "many_layers":
+            assert len(index.layers) >= 3
+
+    def test_answers_are_bitwise_pinned_and_short_beams_fall_back_to_exact(self):
+        table = EmbeddingTable(unit_rows(300, 8, seed=3))
+        index = build_ann_index(table, m_conn=8, ef_construction=40, rng_seed=5)
+        rng = np.random.default_rng(40)
+        digest = hashlib.sha256()
+        for i in range(60):
+            q = table.vectors[i] if i % 2 else rng.normal(size=8)
+            # exclude the query's nearest rows, so some beams run short
+            exclude = set(exact_topk(table, q, k=(5 * i) % 31 + 1).ids.tolist())
+            got = ann_topk(index, q, k=10, ef_search=32, exclude=exclude)
+            if i in SHORT_IN_BEAM:
+                want = exact_topk(table, q, k=10, exclude=exclude)
+                assert got.ids.tobytes() == want.ids.tobytes()
+                assert got.scores.tobytes() == want.scores.tobytes()
+                assert not got.truncated
+                continue
+            digest.update(got.ids.tobytes())
+            digest.update(got.scores.tobytes())
+            digest.update(bytes([got.truncated]))
+        assert digest.hexdigest() == "30d87b64250c96f93c234975af1bc110291960c62fe4cd77332aa6132604fed1"
