@@ -1,10 +1,13 @@
 """Exception taxonomy shared across the package, the integer-field check
-that the config dataclasses share, and the generator-seed check."""
+that the config dataclasses share, the node-id array check, and the
+generator-seed check."""
 
 import numbers
 import operator
 from dataclasses import fields
 from typing import get_args, get_type_hints
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -36,9 +39,26 @@ class SkipExample(Exception):
     """A sampled training example is unusable; the caller should redraw."""
 
 
+def _integral(cls) -> bool:
+    return issubclass(cls, numbers.Integral) and not issubclass(cls, bool)
+
+
 def is_integer(value) -> bool:
     """An integer, numpy's included, that is not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return _integral(type(value))
+
+
+def integer_array(values, what: str) -> np.ndarray:
+    """`values` as an int64 array, refusing any element that is not an
+    integer by `is_integer` (a bool, a float, a string): nothing is cast.
+
+    An integer-typed numpy array passes as it is; any other input is
+    checked once per distinct element type.
+    """
+    raw = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    if raw.dtype.kind not in "iu" and not all(map(_integral, set(map(type, raw.flat)))):
+        raise ValidationError(f"{what} must be integers")
+    return np.ascontiguousarray(raw, dtype=np.int64)
 
 
 def require_seed(value, where: str) -> None:

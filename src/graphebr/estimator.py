@@ -14,7 +14,7 @@ import inspect
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, integer_array
 from .graph import GraphStore
 from .index import ann_topk, build_ann_index, exact_topk, export_embeddings
 from .training import TrainConfig, train
@@ -110,7 +110,7 @@ class GraphEmbeddingRetriever:
         if node_ids is None:
             ids = np.arange(self.graph_.num_nodes, dtype=np.int64)
         else:
-            ids = np.asarray(node_ids, dtype=np.int64).reshape(-1)
+            ids = integer_array(node_ids, "estimator: node ids").reshape(-1)
         if ids.size and (ids.min() < 0 or ids.max() >= self.graph_.num_nodes):
             raise ValidationError("estimator: node id out of range")
         scores, found = [], []

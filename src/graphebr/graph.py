@@ -47,6 +47,12 @@ class GraphStore:
         """Sorted neighbor ids of node u."""
         return self._indices[self._indptr[u] : self._indptr[u + 1]]
 
+    def neighbors_of(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Degrees of `nodes`, and their sorted neighbor ids joined in that order."""
+        starts, degree = self._indptr[nodes], self.degrees[nodes]
+        offsets = np.cumsum(degree) - degree
+        return degree, self._indices[np.repeat(starts - offsets, degree) + np.arange(degree.sum())]
+
     def has_edge(self, u: int, v: int) -> bool:
         nbrs = self.neighbors(u)
         pos = np.searchsorted(nbrs, v)

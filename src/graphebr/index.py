@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ShapeError, ValidationError, require_seed
+from .errors import ShapeError, ValidationError, integer_array, require_seed
 from .gat import EncoderParams, encode
 from .graph import GraphStore
 # Export samples through khop_batch and never calls khop_subgraph; the
@@ -135,8 +135,8 @@ def _as_query(table_dim: int, query_vec) -> np.ndarray:
 
 
 def _excluded_ids(exclude, num_nodes: int) -> np.ndarray:
-    """The exclusion set as ids; one out-of-range rule for both search paths."""
-    excluded = np.fromiter((int(e) for e in exclude), dtype=np.int64)
+    """The exclusion set as ids; one integer and range rule for both search paths."""
+    excluded = integer_array(list(exclude), "topk: excluded ids")
     if excluded.size and (excluded.min() < 0 or excluded.max() >= num_nodes):
         raise ValidationError("topk: excluded id out of range")
     return excluded

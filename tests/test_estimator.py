@@ -138,6 +138,15 @@ class TestKneighbors:
         with pytest.raises(ValidationError):
             est.kneighbors([99], n_neighbors=1)
 
+    def test_non_integer_node_ids_rejected(self):
+        est = small_estimator().fit(small_graph())
+        # each of these used to be cast: 0.5 queried node 0, True node 1
+        for bad in ([0.5], [True], ["2"], np.array([1.0]), [3, 2.5]):
+            with pytest.raises(ValidationError, match="estimator: node ids must be integers"):
+                est.kneighbors(bad, n_neighbors=1)
+        _, ids = est.kneighbors([np.int32(3), np.uint8(4)], n_neighbors=2)
+        np.testing.assert_array_equal(ids, est.kneighbors([3, 4], n_neighbors=2)[1])
+
     def test_hnsw_variant_matches_exact_at_full_beam(self):
         graph = small_graph()
         exact = small_estimator().fit(graph)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -235,11 +236,113 @@ class TestEvaluateTable:
         with pytest.raises(ValidationError, match=r"\(4, 5\) is still a training edge"):
             evaluate_table(table, g, pairs)
 
+    def single_rank(self, vectors, graph, pair):
+        table = EmbeddingTable(vectors)
+        report = evaluate_table(table, graph, [pair])
+        ranks, _ = naive_report_parts(table, graph, [pair], EvalSettings())
+        assert report.mrr == 1.0 / ranks[0]
+        return ranks[0]
+
+    def test_tie_with_v_counts_only_below_v(self):
+        g = cycle_graph(6)  # u=0 excludes 1 and 5; candidates 2, 3, 4
+        vectors = np.array([[1.0, 0], [0, 1], [0, 0], [0.5, 0], [0, 0], [0, 1]])
+        for tied, want in ((2, 2), (4, 1)):
+            tie = vectors.copy()
+            tie[tied] = tie[3]
+            assert self.single_rank(tie, g, (0, 3)) == want
+
+    def test_excluded_nodes_tied_with_v_never_count(self):
+        g = cycle_graph(6)
+        vectors = np.array([[1.0, 0], [0.5, 0], [0, 0], [0.5, 0], [0, 0], [0, 1]])
+        # neighbour 1 ties v=3 from below
+        assert self.single_rank(vectors, g, (0, 3)) == 1
+        # u itself ties v from below
+        vectors[3] = vectors[0]
+        assert self.single_rank(vectors, g, (0, 3)) == 1
+        # every score is 0: of the ids below v=4 only candidate 3 counts
+        vectors[1] = 0.0
+        assert self.single_rank(vectors, g, (1, 4)) == 2
+
+    def test_first_training_edge_in_a_block_is_named(self):
+        g = cycle_graph(8)
+        table = EmbeddingTable(np.random.default_rng(0).normal(size=(8, 3)))
+        pairs = [(0, 2), (6, 5), (1, 2), (3, 4)]
+        with pytest.raises(ValidationError, match=r"\(6, 5\) is still a training edge"):
+            evaluate_table(table, g, pairs)
+
+    def test_non_integer_node_ids_rejected(self):
+        g = cycle_graph(6)
+        table = EmbeddingTable(np.eye(6))
+        # each of these used to be cast: (0.5, 2.7) scored (0, 2), True node 1
+        for bad in ([(0.5, 2.7)], [(True, 3)], [("0", 2)], np.array([[0.0, 2.0]]),
+                    np.array([[False, True]]), [(0, 2), (1, 3.0)]):
+            for call in (lambda: evaluate_table(table, g, bad),
+                         lambda: config_fingerprint(g, bad, EvalSettings())):
+                with pytest.raises(ValidationError, match="heldout: node ids must be integers"):
+                    call()
+        mixed = [(np.int32(0), np.uint8(2)), (np.int64(1), 3)]
+        assert report_to_json(evaluate_table(table, g, mixed)) == report_to_json(
+            evaluate_table(table, g, np.array([[0, 2], [1, 3]])))
+
     def test_excluded_nodes_never_count_when_scores_overflow(self):
         # u=0 would score -inf against every other node: a table whose
         # squared row norms overflow is refused before any score is taken
         with pytest.raises(ValidationError, match="squared row norms"):
             EmbeddingTable(np.array([[1e200], [-1e200], [-1e200], [-1e200]]))
+
+
+def pinned_report_digest(case, monkeypatch, rows=None):
+    """sha256 of one report on a seeded random table; nothing is trained."""
+    settings = EvalSettings()
+    if case == "train-2k":
+        # the train-2k-multitask benchmark graph
+        g = generate_synthetic_graph(2000, 2, 0.02, 0.002, 16, 0.1, rng_seed=11)
+        train_g, heldout = split_edges(g, 0.1, rng_seed=12)
+        vectors = np.random.default_rng(13).normal(size=(2000, 32))
+    elif case in ("ties", "random"):
+        g = generate_synthetic_graph(120, 3, 0.15, 0.02, 4, 0.0, rng_seed=21)
+        train_g, heldout = split_edges(g, 0.2, rng_seed=22)
+        if case == "ties":
+            vectors = np.random.default_rng(23).integers(-2, 3, size=(120, 3)) * 0.5
+        else:
+            vectors = np.random.default_rng(24).normal(size=(120, 8))
+    elif case == "cold":
+        g = generate_synthetic_graph(300, 3, 0.05, 0.005, 6, 0.5, rng_seed=31)
+        train_g, heldout = split_edges(g, 0.2, rng_seed=32)
+        vectors = np.random.default_rng(33).normal(size=(300, 8))
+    else:
+        g = generate_synthetic_graph(300, 3, 0.05, 0.005, 6, 0.3, rng_seed=41)
+        train_g, heldout = split_edges(g, 0.2, rng_seed=42)
+        vectors = np.random.default_rng(43).normal(size=(300, 8))
+        settings = EvalSettings(k_values=(1, 2, 7, 50), cold_start_threshold=4, mrr_cap=13)
+    if rows is not None:
+        monkeypatch.setattr(evaluation, "_SCAN_ENTRIES", rows * train_g.num_nodes)
+    report = evaluate_table(EmbeddingTable(vectors), train_g, heldout, settings)
+    if case == "cold":
+        assert 0 < report.cohorts["cold_start"].num_queries < report.num_queries
+    return hashlib.sha256(report_to_json(report).encode("ascii")).hexdigest()
+
+
+_TIES = "b256cbccee50317dd9d4c75c01495fd5177de00c1c6cf72c575402cafa696bfb"
+_RANDOM = "6ec67567c3bbe637c8d89056c79d02ebd13e24dd3fbb42df61227fc566efa76b"
+
+
+class TestPinnedReports:
+    """Report digests recorded with the per-pair scan that preceded the
+    block ranking; any change to a rank, a cohort flag or the aggregation
+    order shows here. MRR is summed by the interpreter's plain float `sum`
+    (CPython before 3.12), which the digests assume."""
+
+    @pytest.mark.parametrize("case, rows, digest", [
+        ("train-2k", None, "e1c2c60641b6f6ac3f8fb8c81a1c7e0dd8b8e74ddc4544e042653fa7267ff7e3"),
+        ("ties", 1, _TIES), ("ties", 2, _TIES), ("ties", 3, _TIES), ("ties", None, _TIES),
+        ("random", 1, _RANDOM), ("random", 2, _RANDOM), ("random", 3, _RANDOM),
+        ("random", None, _RANDOM),
+        ("cold", None, "816b96b1fb4fc188e17b6222cf26f12f06d6c39695faf7b4c86960ddc66600cf"),
+        ("settings", None, "c45459879c443e671de7bbe9d26add8bdd4fe42dc1b124f861f9c56e400b762e"),
+    ])
+    def test_report_digest_is_unchanged(self, case, rows, digest, monkeypatch):
+        assert pinned_report_digest(case, monkeypatch, rows) == digest
 
 
 class TestEvaluateWrapper:

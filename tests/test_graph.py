@@ -103,6 +103,10 @@ class TestGraphStore:
         for u in range(num_nodes):
             assert g.neighbors(u).tolist() == neighbors[u]
         assert g.degrees.tolist() == [len(nbrs) for nbrs in neighbors]
+        nodes = np.array([num_nodes - 1, 0, num_nodes - 1, *range(num_nodes)])
+        degree, joined = g.neighbors_of(nodes)
+        assert degree.tolist() == [len(neighbors[u]) for u in nodes]
+        assert joined.tolist() == [v for u in nodes for v in neighbors[u]]
         assert g.num_edges == len(pairs)
 
     def test_self_loops_dropped_and_adjacency_symmetric(self):

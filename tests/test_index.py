@@ -326,6 +326,23 @@ class TestAnnSearch:
                 with pytest.raises(ValidationError, match="topk: excluded id out of range"):
                     search()
 
+    def test_non_integer_exclusions_rejected_on_both_paths(self):
+        table = EmbeddingTable(unit_rows(20, 4, seed=26))
+        index = build_ann_index(table, m_conn=4, rng_seed=27)
+        # each of these used to be cast, so 1.7 and True excluded id 1
+        for bad in ({1.7}, {True}, {"2"}, {3, np.float64(4.0)}, {np.bool_(False)}):
+            for search in (
+                lambda: exact_topk(table, table.vectors[0], k=3, exclude=bad),
+                lambda: ann_topk(index, table.vectors[0], k=3, exclude=bad),
+            ):
+                with pytest.raises(ValidationError, match="topk: excluded ids must be integers"):
+                    search()
+        ok = {np.int64(1), np.int32(2), np.uint8(3), 4}
+        want = exact_topk(table, table.vectors[0], k=5, exclude={1, 2, 3, 4})
+        for search in (exact_topk, lambda *a, **kw: ann_topk(index, *a[1:], ef_search=20, **kw)):
+            got = search(table, table.vectors[0], k=5, exclude=ok)
+            assert got.ids.tolist() == want.ids.tolist()
+
     def test_good_recall_at_moderate_scale(self):
         table = EmbeddingTable(unit_rows(1500, 16, seed=15))
         index = build_ann_index(table, m_conn=12, ef_construction=60, rng_seed=16)
