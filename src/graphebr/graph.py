@@ -6,7 +6,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import GraphParseError, ValidationError, require_seed
+from .errors import GraphParseError, ValidationError, integer_array, require_seed
 
 
 class GraphStore:
@@ -24,7 +24,7 @@ class GraphStore:
         if not np.isfinite(features).all():
             raise ValidationError("graph: features must be finite")
         n = features.shape[0]
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        edges = integer_array(edges, "graph: edge endpoints").reshape(-1, 2)
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise ValidationError("graph: edge endpoint out of range")
         lo, hi = np.sort(edges, axis=1).T

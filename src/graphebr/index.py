@@ -5,16 +5,17 @@ The approximate path is a layered navigable-small-world graph (HNSW) searched
 with a best-first beam; similarity is the raw dot product in both paths so
 serving matches the geometry the retrieval loss trained. The graph is one
 padded neighbour array per layer, which the build writes in place, the beam
-reads row by row, validation checks as arrays, and the JSON index document
-lists without its padding. When exclusions leave the beam short of k ids,
-the approximate path answers with the exact scan.
+reads row by row, validation checks as arrays, and the index file stores as
+they are. When exclusions leave the beam short of k ids, the approximate
+path answers with the exact scan.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
 import math
+import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,13 +24,15 @@ from . import autodiff as ad
 from .errors import ShapeError, ValidationError, integer_array, require_seed
 from .gat import EncoderParams, encode
 from .graph import GraphStore
-# Export samples through khop_batch and never calls khop_subgraph; the
+# Export samples through merge_examples and never calls khop_subgraph; the
 # name stays importable because benchmarks/ traces index.khop_subgraph.
-from .sampling import khop_batch, khop_subgraph  # noqa: F401
+from .sampling import khop_subgraph, merge_examples  # noqa: F401
 
 # Contexts encoded per batch by export; each row depends only on its own
 # context, so the table is the same for any chunk size.
 _EXPORT_CHUNK = 128
+
+_FORMAT_VERSION = 2  # of the archive save_index writes
 
 
 @dataclass(frozen=True)
@@ -79,10 +82,10 @@ def export_embeddings(params: EncoderParams, graph: GraphStore, k: int, fanout) 
     rows = np.empty((graph.num_nodes, params.embedding_dim))
     with ad.no_grad():
         for start in range(0, graph.num_nodes, _EXPORT_CHUNK):
-            ids = range(start, min(start + _EXPORT_CHUNK, graph.num_nodes))
-            batch = khop_batch(graph, ids, k, fanout, seeds=ids)
+            ids = np.arange(start, min(start + _EXPORT_CHUNK, graph.num_nodes))
+            batch = merge_examples(graph, ids[:, None], k, fanout, seeds=ids)
             Z = encode(params, batch)
-            rows[start : ids.stop] = Z.data[batch.query_locals]
+            rows[ids] = Z.data[batch.query_locals]
     return EmbeddingTable(rows)
 
 
@@ -105,16 +108,19 @@ def load_table(path) -> EmbeddingTable:
         head = fh.read(16)
     if b"\x00" in head:
         with open(path, "rb") as fh:
-            num_nodes, dim = np.fromfile(fh, dtype="<i8", count=2)
+            header = np.fromfile(fh, dtype="<i8", count=2).tolist()
             flat = np.fromfile(fh, dtype="<f8")
+        if len(header) != 2 or min(header) < 0:
+            raise ValidationError(f"embedding table {path}: binary header {header} is not two non-negative counts")
+        num_nodes, dim = header
         if flat.size != num_nodes * dim:
             raise ValidationError(f"embedding table {path}: truncated payload")
-        return EmbeddingTable(flat.reshape(int(num_nodes), int(dim)))
+        return EmbeddingTable(flat.reshape(num_nodes, dim))
     with open(path) as fh:
-        first = fh.readline().split()
-        if len(first) != 2:
-            raise ValidationError(f"embedding table {path}: malformed header")
-        num_nodes, dim = int(first[0]), int(first[1])
+        try:
+            num_nodes, dim = map(int, fh.readline().split())
+        except ValueError:  # a token count other than two, a non-integer, or undecodable bytes
+            raise ValidationError(f"embedding table {path}: malformed header") from None
         flat = np.loadtxt(fh, ndmin=2)
     if flat.shape != (num_nodes, dim):
         raise ValidationError(
@@ -183,7 +189,6 @@ class AnnIndex:
 
     vectors: np.ndarray
     m_conn: int
-    ef_construction: int
     entry_point: int
     levels: np.ndarray
     layers: list
@@ -204,6 +209,39 @@ def _closest(vectors, center: int, ids, cap: int):
     ids = np.asarray(ids, dtype=np.int64)
     scores = vectors[ids] @ vectors[center]
     return ids[np.lexsort((ids, -scores))[:cap]].tolist()
+
+
+def _reachable(links, start: int) -> np.ndarray:
+    """Which nodes a breadth-first walk over `links` reaches from `start`."""
+    n = len(links)
+    # slot n is what the -1 padding indexes, so padding always reads as reached
+    reached = np.zeros(n + 1, dtype=bool)
+    reached[[start, n]] = True
+    frontier = np.array([start])
+    while frontier.size:
+        nbrs = links[frontier].ravel()
+        frontier = np.unique(nbrs[~reached[nbrs]])
+        reached[frontier] = True
+    return reached[:n]
+
+
+def _link_unreached(vectors, links, entry_point: int):
+    """Give every node the walk from the entry point misses an in-link from
+    the most similar reached node with a free slot.
+
+    Pruning a full row can drop a node's last in-link: seen with unequal
+    norms, all-equal rows and m_conn 2. This pass only adds links, so a
+    graph whose every node is reached is left as it is.
+    """
+    reached = _reachable(links, entry_point)
+    while not reached.all():
+        node = int(np.argmin(reached))
+        donors = np.flatnonzero(reached & (links[:, -1] == -1))
+        if not donors.size:
+            raise ValidationError(f"ann build: node {node} is unreachable and every reached row is full")
+        donor = _closest(vectors, node, donors, 1)[0]
+        links[donor, np.count_nonzero(links[donor] != -1)] = node
+        reached |= _reachable(links, node)
 
 
 def _greedy_descent(vectors, links, q, start: int) -> int:
@@ -268,6 +306,7 @@ def build_ann_index(table: EmbeddingTable, m_conn: int = 16, ef_construction: in
     Levels follow the geometric rule floor(-ln(U) / ln(m_conn)); each
     insertion descends greedily to its level, then beam-searches each layer
     with ef_construction and links to the m_conn most similar nodes found.
+    A last pass gives every node layer 0 no longer reaches an in-link.
     """
     if table.num_nodes < 1:
         raise ValidationError("ann build: empty table")
@@ -317,10 +356,10 @@ def build_ann_index(table: EmbeddingTable, m_conn: int = 16, ef_construction: in
         if level > top:
             top, entry_point = level, node
 
+    _link_unreached(vectors, layers[0], entry_point)
     return AnnIndex(
         vectors=vectors,
         m_conn=int(m_conn),
-        ef_construction=int(ef_construction),
         entry_point=int(entry_point),
         levels=levels,
         layers=layers,
@@ -360,11 +399,11 @@ def validate_index(index: AnnIndex):
     """Check the structural invariants; raises ValidationError on breakage."""
     n = index.vectors.shape[0]
     levels = index.levels
-    if levels.shape != (n,):
-        raise ValidationError(f"ann index: levels of shape {levels.shape} for {n} rows")
+    if not isinstance(levels, np.ndarray) or levels.dtype.kind not in "iu" or levels.shape != (n,):
+        raise ValidationError(f"ann index: levels are not a ({n},) integer array")
     if not 0 <= index.entry_point < n:
         raise ValidationError("ann index: entry point out of range")
-    if int(levels[index.entry_point]) != index.max_level:
+    if not index.layers or int(levels[index.entry_point]) != index.max_level:
         raise ValidationError("ann index: entry point is not on the top layer")
     for layer_id, links in enumerate(index.layers):
         cap = _degree_cap(index.m_conn, layer_id, n)
@@ -389,92 +428,47 @@ def validate_index(index: AnnIndex):
         repeated |= (links == np.arange(n)[:, None]).any(axis=1)
         if repeated.any():
             raise ValidationError(f"ann index: self or duplicate link at node {np.argmax(repeated)}")
-    reached = np.zeros(n + 1, dtype=bool)
-    reached[[index.entry_point, n]] = True
-    frontier = np.array([index.entry_point])
-    while frontier.size:
-        nbrs = index.layers[0][frontier].ravel()
-        frontier = np.unique(nbrs[~reached[nbrs]])
-        reached[frontier] = True
-    count = int(reached[:n].sum())
+    count = int(_reachable(index.layers[0], index.entry_point).sum())
     if count != n:
         raise ValidationError(f"ann index: only {count} of {n} nodes reachable")
 
 
-def index_to_dict(index: AnnIndex) -> dict:
-    """The JSON document of an index: per layer, each node on it mapped to
-    its links without padding."""
-    layers = []
-    for layer_id, links in enumerate(index.layers):
-        nodes = np.flatnonzero(index.levels >= layer_id)
-        rows = links[nodes]
-        degree = np.count_nonzero(rows != -1, axis=1)
-        layers.append({
-            str(node): row[:d] for node, row, d in zip(nodes.tolist(), rows.tolist(), degree.tolist())
-        })
-    return {
-        "version": "1",
-        "m_conn": index.m_conn,
-        "ef_construction": index.ef_construction,
-        "entry_point": index.entry_point,
-        "levels": index.levels.tolist(),
-        "layers": layers,
-        "vectors": index.vectors.tolist(),
-    }
-
-
-def _layer_from_dict(adjacency: dict, layer_id: int, levels: np.ndarray, cap: int) -> np.ndarray:
-    """One layer of a document as a padded array; validate_index checks the rest."""
-    links = np.full((len(levels), cap), -1, dtype=np.intp)
-    for key, neighbors in adjacency.items():
-        node = int(key)
-        if not 0 <= node < len(levels):
-            raise ValidationError(f"ann index: node {node} out of range at layer {layer_id}")
-        if levels[node] < layer_id:
-            raise ValidationError(f"ann index: node {node} too low for layer {layer_id}")
-        if len(neighbors) > cap:
-            raise ValidationError(f"ann index: degree {len(neighbors)} over cap at layer {layer_id}")
-        row = [int(nbr) for nbr in neighbors]
-        if row and min(row) < 0:
-            # -1 is the padding value, so no negative id may enter the array
-            raise ValidationError(f"ann index: link {node}->{min(row)} leaves layer {layer_id}")
-        links[node, : len(row)] = row
-    return links
-
-
-def index_from_dict(raw) -> AnnIndex:
-    """Parse and validate an index document; malformed files are rejected."""
-    if not isinstance(raw, dict):
-        raise ValidationError("ann index: expected a JSON object")
-    if raw.get("version") != "1":
-        raise ValidationError(f"ann index: unsupported version {raw.get('version')!r}")
-    try:
-        m_conn = int(raw["m_conn"])
-        levels = np.asarray(raw["levels"], dtype=np.int64)
-        index = AnnIndex(
-            vectors=EmbeddingTable(raw["vectors"]).vectors,
-            m_conn=m_conn,
-            ef_construction=int(raw["ef_construction"]),
-            entry_point=int(raw["entry_point"]),
-            levels=levels,
-            layers=[
-                _layer_from_dict(adjacency, layer_id, levels, _degree_cap(m_conn, layer_id, len(levels)))
-                for layer_id, adjacency in enumerate(raw["layers"])
-            ],
-        )
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise ValidationError(f"ann index: malformed document ({exc})") from exc
-    validate_index(index)
-    return index
-
-
 def save_index(index: AnnIndex, path):
-    with open(path, "w") as fh:
-        json.dump(index_to_dict(index), fh, sort_keys=True)
+    """Write the arrays, as they are held in memory, into one compressed .npz
+    archive at exactly `path`: `header` (format version, m_conn, entry
+    point), `vectors`, `levels` and `layer0`, `layer1`, ... Each member has
+    a fixed timestamp, so the bytes depend on the index alone."""
+    header = np.array([_FORMAT_VERSION, index.m_conn, index.entry_point], dtype=np.int64)
+    layers = {f"layer{L}": links for L, links in enumerate(index.layers)}
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, array in dict(header=header, vectors=index.vectors, levels=index.levels, **layers).items():
+            member = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
+            member.compress_type = zipfile.ZIP_DEFLATED
+            with archive.open(member, "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, array, allow_pickle=False)
 
 
 def load_index(path) -> AnnIndex:
-    with open(path) as fh:
-        return index_from_dict(json.load(fh))
+    """Read what save_index wrote; validate_index checks the graph. Any other
+    file, the version-1 JSON document included, is refused: an index is
+    derived data, and `graphebr index` rebuilds it from the table."""
+    try:
+        with zipfile.ZipFile(path) as archive:
+            arrays = {n.removesuffix(".npy"): np.lib.format.read_array(archive.open(n), allow_pickle=False)
+                      for n in archive.namelist()}
+    except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        raise ValidationError(f"ann index: {path} is not an index archive ({exc})") from exc
+    header = np.asarray(arrays.pop("header", None))
+    if header.dtype.kind not in "iu" or header.shape != (3,) or header[0] != _FORMAT_VERSION:
+        raise ValidationError(f"ann index: header is not the integers [{_FORMAT_VERSION}, m_conn, entry point]")
+    names = ["vectors", "levels", *(f"layer{L}" for L in range(len(arrays) - 2))]
+    if sorted(arrays) != sorted(names):
+        raise ValidationError(f"ann index: expected vectors, levels and layer0.., found {sorted(arrays)}")
+    try:
+        vectors = EmbeddingTable(arrays["vectors"]).vectors
+    except ValueError as exc:
+        raise ValidationError(f"ann index: vectors: {exc}") from exc
+    _, m_conn, entry_point = header.tolist()
+    index = AnnIndex(vectors, m_conn, entry_point, arrays["levels"], [arrays[n] for n in names[2:]])
+    validate_index(index)
+    return index

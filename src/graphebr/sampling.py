@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import SkipExample, ValidationError
+from .errors import SkipExample, ValidationError, integer_array
 from .graph import GraphStore
 
 
@@ -105,17 +105,7 @@ def khop_subgraph(graph: GraphStore, query: int, k: int, fanout, rng_seed) -> Su
     order; `_contexts` documents the draw order, which the reference oracle
     in tests/test_sampling.py (TestReferenceOracle) pins bitwise.
     """
-    return khop_batch(graph, [query], k, fanout, [rng_seed])
-
-
-def khop_batch(graph: GraphStore, roots, k: int, fanout, seeds) -> Subgraph:
-    """Stack the k-hop contexts of many roots, expanded in one lockstep pass.
-
-    Example i is exactly `khop_subgraph(graph, roots[i], k, fanout,
-    seeds[i])`, shifted by the rows of the examples before it. There are no
-    candidates.
-    """
-    return merge_examples(graph, np.asarray(roots, dtype=np.int64).reshape(-1, 1), k, fanout, seeds)
+    return merge_examples(graph, [[query]], k, fanout, [rng_seed])
 
 
 def merge_examples(graph: GraphStore, roots, k: int, fanout, seeds) -> Subgraph:
@@ -129,7 +119,7 @@ def merge_examples(graph: GraphStore, roots, k: int, fanout, seeds) -> Subgraph:
     With two or more roots per example, the query-positive edge is withheld
     from that example's edges.
     """
-    roots = np.asarray(roots, dtype=np.int64)
+    roots = integer_array(roots, "khop: query ids")
     num, width = roots.shape
     n = graph.num_nodes
     out_of_range = roots[(roots < 0) | (roots >= n)]
@@ -312,8 +302,7 @@ def sample_retrieval_examples(graph: GraphStore, queries, num_negatives: int, se
     if num_negatives < 0:
         raise ValidationError("retrieval example: num_negatives must be >= 0")
     roots, context_seeds = [], []
-    for query, seed in zip(queries, seeds):
-        query = int(query)
+    for query, seed in zip(integer_array(queries, "retrieval example: query ids").tolist(), seeds):
         if not 0 <= query < n:
             raise ValidationError(f"retrieval example: query id {query} out of range")
         nbrs = graph.neighbors(query)

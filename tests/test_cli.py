@@ -19,7 +19,7 @@ from graphebr.errors import ValidationError
 from graphebr.evaluation import EvalSettings
 from graphebr.graph import load_graph
 import graphebr
-from graphebr.index import EmbeddingTable, build_ann_index, index_to_dict, load_table, save_table
+from graphebr.index import EmbeddingTable, build_ann_index, load_table, save_index, save_table
 from graphebr.losses import CcaConfig, LossWeights, MaeConfig
 from graphebr.sampling import AugmentationConfig
 from graphebr.training import _JSON_TYPES, TrainConfig, load_dataclass
@@ -427,26 +427,49 @@ class TestEmbedIndexRetrieve:
 
     def test_malformed_index_files_exit_one(self, tmp_path, capsys):
         vectors = np.random.default_rng(4).normal(size=(30, 4))
-        good = index_to_dict(build_ann_index(EmbeddingTable(vectors), m_conn=4, rng_seed=5))
-        stray_link = json.loads(json.dumps(good))
-        stray_link["layers"][0]["0"][-1] = 999
-        stray_node = json.loads(json.dumps(good))
-        stray_node["layers"][0]["999"] = []
+        path = tmp_path / "index.npz"
+        save_index(build_ann_index(EmbeddingTable(vectors), m_conn=4, rng_seed=5), path)
+        with np.load(path) as archive:
+            good = dict(archive)
+        far_entry = good["header"].copy()
+        far_entry[2] = 999
+        stray_link = good["layer0"].copy()
+        stray_link[0, 0] = 999
+        stray_node = np.vstack([good["layer0"], np.full((1, 8), -1)])
         queries = tmp_path / "queries.txt"
         queries.write_text("0\n")
-        for doc, named in (
-            ({key: v for key, v in good.items() if key != "m_conn"}, "malformed document"),
-            ([good], "expected a JSON object"),
-            ({**good, "entry_point": 999}, "entry point out of range"),
-            (stray_link, "link 0->999 leaves layer 0"),
-            (stray_node, "node 999 out of range"),
-        ):
-            path = tmp_path / "index.json"
-            path.write_text(json.dumps(doc))
+
+        def refused(named):
             assert cli_main(["retrieve", "--index", str(path), "--queries", str(queries)]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ann index: ") and err.strip().count("\n") == 0
             assert named in err
+
+        for arrays, named in (
+            ({key: v for key, v in good.items() if key != "levels"}, "expected vectors, levels and layer0"),
+            ({**good, "header": far_entry}, "entry point out of range"),
+            ({**good, "layer0": stray_link}, "link 0->999 leaves layer 0"),
+            ({**good, "layer0": stray_node}, "layer 0 is not an (30, 8) intp array"),
+        ):
+            with open(path, "wb") as fh:
+                np.savez(fh, **arrays)
+            refused(named)
+        # a version-1 JSON document is no longer read: the index is rebuilt
+        path.write_text(json.dumps({"version": "1", "m_conn": 4, "layers": []}))
+        refused("is not an index archive")
+
+    def test_index_built_from_unequal_norms_is_served(self, tmp_path, capsys):
+        # pruning used to orphan nodes here: retrieve refused the file with
+        # "only 298 of 300 nodes reachable"
+        table_path = str(tmp_path / "table.txt")
+        save_table(EmbeddingTable(np.random.default_rng(3).normal(size=(300, 8))), table_path)
+        index_path = str(tmp_path / "index.npz")
+        assert cli_main(["index", "--table", table_path, "--output", index_path,
+                         "--m-conn", "8", "--ef-construction", "40", "--seed", "5"]) == 0
+        queries = tmp_path / "queries.txt"
+        queries.write_text("0\n")
+        assert cli_main(["retrieve", "--index", index_path, "--queries", str(queries), "--k", "5"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 6
 
     def test_index_negative_seed_exits_one_naming_it(self, tmp_path, capsys):
         table_path = str(tmp_path / "table.txt")

@@ -109,6 +109,14 @@ class TestGraphStore:
         assert joined.tolist() == [v for u in nodes for v in neighbors[u]]
         assert g.num_edges == len(pairs)
 
+    def test_non_integer_endpoints_rejected(self):
+        # each of these used to be cast: (0.5, 2.7) stored the edge (0, 2)
+        for edges in ([(0.5, 2.7), (True, 3)], [(0, 1), (1.0, 2)], [("1", 2)], np.array([[0.0, 1.0]])):
+            with pytest.raises(ValidationError, match="graph: edge endpoints must be integers"):
+                GraphStore(np.eye(4), edges)
+        for edges in ([(np.int32(0), 2), (1, np.uint8(3))], np.array([[0, 2], [1, 3]], dtype=np.int32)):
+            assert GraphStore(np.eye(4), edges).undirected_edges().tolist() == [[0, 2], [1, 3]]
+
     def test_self_loops_dropped_and_adjacency_symmetric(self):
         g = GraphStore(np.eye(3), [[0, 0], [0, 1], [1, 2]])
         assert g.num_edges == 2

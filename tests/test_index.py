@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import warnings
 
@@ -15,8 +16,6 @@ from graphebr.index import (
     build_ann_index,
     exact_topk,
     export_embeddings,
-    index_from_dict,
-    index_to_dict,
     load_index,
     load_table,
     save_index,
@@ -30,6 +29,41 @@ from graphebr.training import TrainConfig, init_model
 def unit_rows(n, d, seed=0):
     rows = np.random.default_rng(seed).normal(size=(n, d))
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def index_document(index, ef_construction):
+    """The version-1 JSON document the index file used to be: per layer, each
+    node on it mapped to its links without padding. The pinned digests below
+    hash it."""
+    layers = []
+    for layer_id, links in enumerate(index.layers):
+        nodes = np.flatnonzero(index.levels >= layer_id)
+        layers.append({str(i): [n for n in links[i].tolist() if n != -1] for i in nodes.tolist()})
+    return {
+        "version": "1",
+        "m_conn": index.m_conn,
+        "ef_construction": ef_construction,
+        "entry_point": index.entry_point,
+        "levels": index.levels.tolist(),
+        "layers": layers,
+        "vectors": index.vectors.tolist(),
+    }
+
+
+def index_arrays(index):
+    return [index.vectors, index.levels, *index.layers]
+
+
+def saved_arrays(index, path):
+    """The members of the archive save_index writes, to corrupt one by one."""
+    save_index(index, path)
+    with np.load(path) as archive:
+        return dict(archive)
+
+
+def write_archive(path, arrays):
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def naive_topk(vectors, q, k, exclude=()):
@@ -143,11 +177,32 @@ class TestTableSerialization:
         with pytest.raises(ValidationError):
             load_table(path)
 
+    def test_non_integer_or_undecodable_text_header_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        for data in (b"3 x\n1 2 3\n", b"3.0 2\n", np.array([-1, -3], dtype="<i8").tobytes()):
+            path.write_bytes(data)
+            with pytest.raises(ValidationError, match=f"^embedding table {path}: malformed header"):
+                load_table(path)
+
     def test_header_row_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "short.txt"
         path.write_text("3 2\n1 2\n3 4\n")
         with pytest.raises(ValidationError):
             load_table(path)
+
+    def test_bad_binary_header_rejected(self, tmp_path):
+        path = tmp_path / "table.bin"
+        # shorter than the 16-byte header, or a negative count: each used to
+        # raise a bare numpy unpacking or reshape error
+        for data in (
+            b"\x00",
+            np.array([3], dtype="<i8").tobytes(),
+            np.array([-1, 3], dtype="<i8").tobytes() + np.ones(3).tobytes(),
+            np.array([2, -1], dtype="<i8").tobytes(),
+        ):
+            path.write_bytes(data)
+            with pytest.raises(ValidationError, match=f"^embedding table {path}: binary header"):
+                load_table(path)
 
     def test_truncated_binary_rejected(self, tmp_path):
         table = EmbeddingTable(np.ones((4, 4)))
@@ -228,7 +283,6 @@ class TestAnnBuild:
         # a lone node links to nobody, so every row is empty whatever m_conn is
         assert [layer.shape for layer in index.layers] == [(1, 0)] * len(index.layers)
         assert all((layer == -1).all() for layer in index.layers)
-        assert index_to_dict(index)["layers"] == [{"0": []}] * len(index.layers)
         validate_index(index)
 
     def test_same_seed_same_structure(self):
@@ -361,29 +415,79 @@ class TestIndexSerialization:
     def test_round_trip_identical(self, tmp_path):
         table = EmbeddingTable(unit_rows(120, 6, seed=18))
         index = build_ann_index(table, m_conn=6, ef_construction=30, rng_seed=19)
-        path = tmp_path / "index.json"
+        path = tmp_path / "index.npz"
         save_index(index, path)
         loaded = load_index(path)
         assert loaded.entry_point == index.entry_point
         assert loaded.m_conn == index.m_conn
-        assert loaded.ef_construction == index.ef_construction
-        assert np.array_equal(loaded.levels, index.levels)
         assert len(loaded.layers) == len(index.layers)
-        for a, b in zip(loaded.layers, index.layers):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-        np.testing.assert_array_equal(loaded.vectors, index.vectors)
-        assert index_to_dict(loaded) == index_to_dict(index)
+        for a, b in zip(index_arrays(loaded), index_arrays(index)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
         validate_index(loaded)
 
-    def test_unknown_version_rejected(self):
-        raw = index_to_dict(build_ann_index(EmbeddingTable(np.ones((1, 2)))))
-        raw["version"] = "2"
-        with pytest.raises(ValidationError):
-            index_from_dict(raw)
+    def test_writes_exactly_the_given_path_and_numpy_reads_it(self, tmp_path):
+        index = build_ann_index(EmbeddingTable(unit_rows(20, 4, seed=18)), m_conn=4, rng_seed=19)
+        path = tmp_path / "index.json"
+        save_index(index, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["index.json"]
+        with np.load(path, allow_pickle=False) as archive:
+            assert sorted(archive.files) == sorted(
+                ["header", "vectors", "levels"] + [f"layer{L}" for L in range(len(index.layers))]
+            )
+            assert archive["header"].tolist() == [2, 4, index.entry_point]
+
+    def test_version_one_json_document_rejected(self, tmp_path):
+        index = build_ann_index(EmbeddingTable(np.ones((1, 2))))
+        path = tmp_path / "index.json"
+        path.write_text(json.dumps(index_document(index, 100)))
+        with pytest.raises(ValidationError, match="ann index: .* is not an index archive"):
+            load_index(path)
+
+    def test_unknown_version_rejected(self, tmp_path):
+        path = tmp_path / "index.npz"
+        arrays = saved_arrays(build_ann_index(EmbeddingTable(np.ones((1, 2)))), path)
+        arrays["header"][0] = 3
+        write_archive(path, arrays)
+        with pytest.raises(ValidationError, match=r"ann index: header is not the integers \[2, m_conn"):
+            load_index(path)
+
+    @pytest.mark.parametrize("corrupt, named", [
+        (lambda a: a.pop("levels"), "expected vectors, levels and layer0"),
+        (lambda a: a.pop("layer0"), "expected vectors, levels and layer0"),
+        (lambda a: a.update(layer9=a["layer0"]), "expected vectors, levels and layer0"),
+        (lambda a: a.pop("header"), "header is not"),
+        (lambda a: a.update(header=a["header"].astype(np.float64)), "header is not"),
+        (lambda a: a.update(header=a["header"][:2]), "header is not"),
+        (lambda a: a.update(levels=a["levels"].astype(np.float64)), r"levels are not a \(30,\) integer array"),
+        (lambda a: a.update(vectors=np.full((30, 4), "x")), "vectors: "),
+        (lambda a: a.update(vectors=a["vectors"][:, :0]), "vectors: "),
+        (lambda a: a.update(layer0=a["layer0"].astype(np.int32)), r"layer 0 is not an \(30, 8\) intp array"),
+    ])
+    def test_malformed_archive_is_one_named_error(self, tmp_path, corrupt, named):
+        path = tmp_path / "index.npz"
+        arrays = saved_arrays(build_ann_index(EmbeddingTable(unit_rows(30, 4, seed=5)), m_conn=4, rng_seed=6), path)
+        corrupt(arrays)
+        write_archive(path, arrays)
+        with pytest.raises(ValidationError, match=f"^ann index: .*{named}"):
+            load_index(path)
+
+    def test_unreadable_files_are_one_named_error(self, tmp_path):
+        path = tmp_path / "index.npz"
+        save_index(build_ann_index(EmbeddingTable(unit_rows(30, 4, seed=5)), m_conn=4, rng_seed=6), path)
+        good = path.read_bytes()
+        buf = io.BytesIO()
+        np.savez(buf, header=np.array([2, 4, 0]), vectors=np.array([None, 1.0]))
+        npy = io.BytesIO()
+        np.save(npy, np.arange(3))
+        for data in (b"", b"{}", b"0 1\n", good[: len(good) // 2], good[:-30], buf.getvalue(), npy.getvalue()):
+            path.write_bytes(data)
+            with pytest.raises(ValidationError, match="^ann index: .* is not an index archive"):
+                load_index(path)
 
 
 class TestValidateIndex:
-    """Each corruption, of the document or of the arrays, is one ValidationError."""
+    """Each corruption, of the arrays in memory or of the saved archive, is
+    one ValidationError."""
 
     def build(self):
         table = EmbeddingTable(unit_rows(50, 4, seed=20))
@@ -391,11 +495,19 @@ class TestValidateIndex:
         validate_index(index)
         return index
 
-    def test_detects_degree_violation(self):
-        doc = index_to_dict(self.build())
-        doc["layers"][0]["0"] = list(range(1, 2 * 4 + 2))
-        with pytest.raises(ValidationError, match="degree 9 over cap at layer 0"):
-            index_from_dict(doc)
+    def load_corrupted(self, tmp_path, corrupt):
+        path = tmp_path / "index.npz"
+        arrays = saved_arrays(self.build(), path)
+        corrupt(arrays)
+        write_archive(path, arrays)
+        return load_index(path)
+
+    def test_detects_degree_violation(self, tmp_path):
+        def widen(arrays):
+            arrays["layer0"] = np.hstack([arrays["layer0"], np.full((50, 1), -1)])
+            arrays["layer0"][0] = np.arange(1, 2 * 4 + 2)
+        with pytest.raises(ValidationError, match=r"layer 0 is not an \(50, 8\) intp array"):
+            self.load_corrupted(tmp_path, widen)
 
     def test_detects_self_link(self):
         index = self.build()
@@ -403,14 +515,18 @@ class TestValidateIndex:
         with pytest.raises(ValidationError, match="self or duplicate link at node 3"):
             validate_index(index)
 
-    def test_detects_duplicate_link(self):
-        doc = index_to_dict(self.build())
-        links = doc["layers"][0]["3"]
-        links[-1] = links[0]
+    def test_detects_duplicate_link(self, tmp_path):
+        index = self.build()
+        index.layers[0][3, 1] = index.layers[0][3, 0]
         with pytest.raises(ValidationError, match="self or duplicate link at node 3"):
-            index_from_dict(doc)
+            validate_index(index)
 
-    def test_detects_out_of_range_ids(self):
+        def duplicate(arrays):
+            arrays["layer0"][3, 1] = arrays["layer0"][3, 0]
+        with pytest.raises(ValidationError, match="self or duplicate link at node 3"):
+            self.load_corrupted(tmp_path, duplicate)
+
+    def test_detects_out_of_range_ids(self, tmp_path):
         index = self.build()
         index.layers[0][3, 0] = 50
         with pytest.raises(ValidationError, match="link 3->50 leaves layer 0"):
@@ -418,10 +534,11 @@ class TestValidateIndex:
         index.layers[0][3, 0] = -2
         with pytest.raises(ValidationError, match="link 3->-2 leaves layer 0"):
             validate_index(index)
-        doc = index_to_dict(self.build())
-        doc["layers"][0]["3"][0] = -1
-        with pytest.raises(ValidationError, match="link 3->-1 leaves layer 0"):
-            index_from_dict(doc)
+
+        def negative(arrays):
+            arrays["layer0"][3, 0] = -2
+        with pytest.raises(ValidationError, match="link 3->-2 leaves layer 0"):
+            self.load_corrupted(tmp_path, negative)
 
     def test_detects_link_leaving_its_layer(self):
         index = self.build()
@@ -431,16 +548,20 @@ class TestValidateIndex:
         with pytest.raises(ValidationError, match=f"link {upper}->{lower} leaves layer 1"):
             validate_index(index)
 
-    def test_detects_links_above_a_nodes_level(self):
+    def test_detects_links_above_a_nodes_level(self, tmp_path):
         index = self.build()
         lower = np.flatnonzero(index.levels == 0)[0]
         index.layers[1][lower, 0] = index.entry_point
         with pytest.raises(ValidationError, match=f"node {lower} too low for layer 1"):
             validate_index(index)
-        doc = index_to_dict(self.build())
-        doc["layers"][1][str(lower)] = []
-        with pytest.raises(ValidationError, match=f"node {lower} too low for layer 1"):
-            index_from_dict(doc)
+        # a node whose level is lowered in the file keeps its upper-layer links
+        linked = np.flatnonzero((index.layers[1] != -1).any(axis=1) & (np.arange(50) != index.entry_point))
+        node = linked[0]
+
+        def lower_level(arrays):
+            arrays["levels"][node] = 0
+        with pytest.raises(ValidationError, match=f"node {node} too low for layer 1"):
+            self.load_corrupted(tmp_path, lower_level)
 
     def test_detects_link_after_padding(self):
         index = self.build()
@@ -455,26 +576,82 @@ class TestValidateIndex:
         with pytest.raises(ValidationError, match=r"layer 0 is not an \(50, 8\) intp array"):
             validate_index(index)
 
-    def test_row_width_is_bounded_by_the_node_count(self):
-        doc = index_to_dict(self.build())
-        doc["m_conn"] = 10**12
-        assert [layer.shape for layer in index_from_dict(doc).layers][:2] == [(50, 49), (50, 49)]
+    def test_detects_levels_that_are_not_integers(self):
+        index = self.build()
+        for levels in (index.levels.astype(np.float64), index.levels.tolist(), index.levels.astype(bool)):
+            index.levels = levels
+            with pytest.raises(ValidationError, match=r"levels are not a \(50,\) integer array"):
+                validate_index(index)
 
-    def test_detects_unreachable_node(self):
+    def test_detects_an_index_without_layers(self):
+        index = self.build()
+        index.levels[:] = -1
+        index.layers = []
+        with pytest.raises(ValidationError, match="entry point is not on the top layer"):
+            validate_index(index)
+
+    def test_row_width_is_bounded_by_the_node_count(self, tmp_path):
+        def widen(arrays):
+            arrays["header"][1] = 10**12
+            for name in [n for n in arrays if n.startswith("layer")]:
+                width = arrays[name].shape[1]
+                arrays[name] = np.hstack([arrays[name], np.full((50, 49 - width), -1)])
+        assert [layer.shape for layer in self.load_corrupted(tmp_path, widen).layers][:2] == [(50, 49), (50, 49)]
+
+    def test_detects_unreachable_node(self, tmp_path):
         index = self.build()
         assert index.entry_point != 7
-        doc = index_to_dict(index)
-        for layer in doc["layers"]:
-            for node, links in layer.items():
-                layer[node] = [n for n in links if n != 7]
-            if "7" in layer:
-                layer["7"] = []
-        with pytest.raises(ValidationError, match="only 49 of 50 nodes reachable"):
-            index_from_dict(doc)
 
-# sha256 of json.dumps(index_to_dict(index), sort_keys=True), recorded from
-# the dict-of-lists build that the array adjacency replaced: every link list,
-# level and entry point must come out the same, in the same order.
+        def orphan(arrays):
+            for name in [n for n in arrays if n.startswith("layer")]:
+                links = arrays[name]
+                links[7] = -1
+                for row in links:
+                    kept = row[row != 7]
+                    row[:] = np.append(kept, np.full(len(row) - len(kept), -1))
+        with pytest.raises(ValidationError, match="only 49 of 50 nodes reachable"):
+            self.load_corrupted(tmp_path, orphan)
+
+
+class TestUnreachableRepair:
+    """Pruning full rows can take every in-link of a node; the build then
+    links it from a reached node, adding links only."""
+
+    def test_unequal_norms_build_fully_reachable_indexes(self, monkeypatch):
+        import graphebr.index as gi
+
+        repaired = 0
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            table = EmbeddingTable(rng.normal(size=(300, 8)) * rng.lognormal(size=(300, 1)))
+            index = build_ann_index(table, m_conn=8, ef_construction=40, rng_seed=5)
+            validate_index(index)
+            with monkeypatch.context() as m:
+                m.setattr(gi, "_link_unreached", lambda *args: None)
+                raw = build_ann_index(table, m_conn=8, ef_construction=40, rng_seed=5)
+            assert raw.entry_point == index.entry_point
+            assert np.array_equal(raw.levels, index.levels)
+            for a, b in zip(raw.layers[1:], index.layers[1:]):
+                assert np.array_equal(a, b)
+            # every link the inserts made is kept in place; only padding is filled
+            kept = raw.layers[0] != -1
+            assert np.array_equal(raw.layers[0][kept], index.layers[0][kept])
+            repaired += int((index.layers[0] != raw.layers[0]).any())
+        assert repaired
+
+    def test_no_reached_row_with_room_is_one_named_error(self):
+        import graphebr.index as gi
+
+        # 0 and 1 reach only each other, and their one-slot rows are full
+        links = np.array([[1], [0], [0], [0]], dtype=np.intp)
+        with pytest.raises(ValidationError, match="ann build: node 2 is unreachable and every reached row is full"):
+            gi._link_unreached(np.eye(4), links, 0)
+
+
+# sha256 of json.dumps(index_document(index, ef_construction), sort_keys=True),
+# recorded from the dict-of-lists build that the array adjacency replaced:
+# every link list, level and entry point must come out the same, in the same
+# order.
 PINNED_INDEXES = [
     ("one_row", np.ones((1, 4)), dict(m_conn=4),
      "a0e3f3f34bf1dd35feff2c10c401f8c3762b82b3dad8ffc6106a7a1f2e98c67b"),
@@ -495,15 +672,42 @@ PINNED_INDEXES = [
 SHORT_IN_BEAM = {5, 6, 11, 12, 17, 18, 23, 24, 30, 36, 37, 42, 43, 48, 49, 54, 55}
 
 
+# Two pinned builds left nodes that no layer-0 walk from the entry point
+# reaches (54 of 60 and 13 of 40 reached); the build now links those from
+# reached nodes. Their digests above pin the inserts, and these the result.
+REPAIRED_DIGESTS = {
+    "m_conn_2": "3c0ce02d96af31277cfa78224e5179c8e4fd10f3221e23fbd752c9748bb623a0",
+    "all_equal": "6c01cf564c0fcc273faef9d88a7ec813c5da781a736d11121847dc7b0c882a25",
+}
+
+
+def document_digest(index, kwargs):
+    text = json.dumps(index_document(index, kwargs.get("ef_construction", 100)), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestPinnedIndex:
     @pytest.mark.parametrize("name, rows, kwargs, digest", PINNED_INDEXES, ids=[c[0] for c in PINNED_INDEXES])
-    def test_build_is_bitwise_pinned(self, name, rows, kwargs, digest, tmp_path):
+    def test_build_is_bitwise_pinned(self, name, rows, kwargs, digest, tmp_path, monkeypatch):
+        import graphebr.index as gi
+
+        with monkeypatch.context() as m:
+            m.setattr(gi, "_link_unreached", lambda *args: None)
+            inserted = build_ann_index(EmbeddingTable(rows), **kwargs)
+        assert document_digest(inserted, kwargs) == digest
         index = build_ann_index(EmbeddingTable(rows), **kwargs)
-        text = json.dumps(index_to_dict(index), sort_keys=True)
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
-        path = tmp_path / "index.json"
-        save_index(index, path)
-        assert path.read_text() == text
+        validate_index(index)
+        assert document_digest(index, kwargs) == REPAIRED_DIGESTS.get(name, digest)
+        kept = inserted.layers[0] != -1
+        assert np.array_equal(index.layers[0][kept], inserted.layers[0][kept])
+        first, second = tmp_path / "first.npz", tmp_path / "second.npz"
+        save_index(index, first)
+        save_index(index, second)
+        assert first.read_bytes() == second.read_bytes()
+        loaded = load_index(first)
+        assert (loaded.m_conn, loaded.entry_point) == (index.m_conn, index.entry_point)
+        for a, b in zip(index_arrays(loaded), index_arrays(index), strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
         if name == "many_layers":
             assert len(index.layers) >= 3
 

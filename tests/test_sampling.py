@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphebr.errors import SkipExample, ValidationError
+from graphebr.errors import SkipExample, ValidationError, integer_array
 from graphebr.graph import GraphStore, generate_synthetic_graph
 from graphebr.sampling import (
     Subgraph,
@@ -66,6 +66,15 @@ class TestKhopSubgraph:
         with pytest.raises(ValidationError):
             khop_subgraph(path_graph(3), 7, k=1, fanout=None, rng_seed=0)
 
+    def test_non_integer_query_rejected(self):
+        # 1.7 used to be cast, so the context was rooted at node 1
+        for query in (1.7, True, "1", np.float64(1.0)):
+            with pytest.raises(ValidationError, match="khop: query ids must be integers"):
+                khop_subgraph(path_graph(3), query, k=1, fanout=None, rng_seed=0)
+        assert khop_subgraph(path_graph(3), np.int32(1), k=1, fanout=None, rng_seed=0).global_ids.tolist() == [1, 0, 2]
+        roots = np.array([[1], [2]])
+        assert integer_array(roots, "khop: query ids") is roots  # integer arrays pass without a copy
+
 
 class TestRetrievalExample:
     def test_triangle_with_no_negatives(self):
@@ -87,6 +96,15 @@ class TestRetrievalExample:
         np.testing.assert_array_equal(a.global_ids, b.global_ids)
         np.testing.assert_array_equal(a.local_edges, b.local_edges)
         np.testing.assert_array_equal(a.candidate_rows, b.candidate_rows)
+
+    def test_non_integer_query_rejected(self):
+        # 1.7 used to be cast, so node 1 was queried
+        g = GraphStore(np.eye(3), [(0, 1), (1, 2), (0, 2)])
+        for query in (1.7, True, "1", np.float64(1.0)):
+            with pytest.raises(ValidationError, match="retrieval example: query ids must be integers"):
+                sample_retrieval_example(g, query, num_negatives=0, k=1, fanout=None, rng_seed=0)
+        ex = sample_retrieval_example(g, np.int64(1), num_negatives=0, k=1, fanout=None, rng_seed=0)
+        assert ex.global_ids[ex.query_locals].tolist() == [1]
 
     def test_degree_zero_query_signals_skip(self):
         g = GraphStore(np.eye(3), [(0, 1)])
