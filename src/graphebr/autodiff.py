@@ -22,8 +22,11 @@ NORM_FLOOR = 1e-12
 
 
 def _finite(arr) -> bool:
-    # sum() is NaN/Inf whenever any entry is; far cheaper than isfinite().all()
-    return bool(np.isfinite(arr.sum()))
+    # sum() is NaN/Inf whenever any entry is, and far cheaper than
+    # isfinite().all(); only a sum that is not finite, which finite entries
+    # can also give by overflowing, pays for the elementwise test
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(arr.sum()) or np.isfinite(arr).all())
 
 
 class Tensor:
@@ -225,24 +228,6 @@ def relu(a) -> Tensor:
     return _apply("relu", np.maximum(ad, 0.0), (a,), lambda g: (g * (ad > 0),))
 
 
-def leaky_relu(a, slope=0.2) -> Tensor:
-    a = _as_tensor(a)
-    slope = float(slope)
-    ad = a.data
-    out = np.where(ad > 0, ad, slope * ad)
-    return _apply(
-        "leaky_relu", out, (a,), lambda g: (g * np.where(ad > 0, 1.0, slope),)
-    )
-
-
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    # overflow becomes Inf here and is surfaced as NumericError by _apply
-    with np.errstate(over="ignore"):
-        out = np.exp(a.data)
-    return _apply("exp", out, (a,), lambda g: (g * out,))
-
-
 def l2_normalize_rows(a) -> Tensor:
     """Scale each row to unit norm; rows with norm below 1e-12 stay zero."""
     a = _as_tensor(a)
@@ -363,50 +348,24 @@ class ScatterPlan:
         )
 
 
-def gather_rows(a, idx, plan: ScatterPlan | None = None) -> Tensor:
-    """Select rows of `a` by index; `plan` speeds up the backward scatter.
+def gather_rows(a, idx) -> Tensor:
+    """Select rows of `a` by index.
 
-    Without a plan the VJP adds rows into zeros with np.add.at, in
-    ascending position like the plan's CSR product, so both sum bitwise
-    alike.
+    The VJP adds rows into zeros with np.add.at in ascending position, the
+    order of a ScatterPlan's CSR product, so both sum bitwise alike.
     """
     a = _as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64).ravel()
     n = a.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ValidationError("gather_rows: index out of range")
-    if plan is not None and (plan.num_rows != n or plan.idx.size != idx.size):
-        raise ShapeError("gather_rows: plan does not match index")
-    out = a.data[idx]
 
     def vjp(g):
-        if plan is not None:
-            return (plan.matrix @ g,)
         out = np.zeros((n, g.shape[1]))
         np.add.at(out, idx, g)
         return (out,)
 
-    return _apply("gather_rows", out, (a,), vjp)
-
-
-def scatter_add_rows(a, idx, num_rows, plan: ScatterPlan | None = None) -> Tensor:
-    """Sum rows of `a` into `num_rows` buckets given by `idx`."""
-    a = _as_tensor(a)
-    idx = np.asarray(idx, dtype=np.int64).ravel()
-    if idx.size != a.shape[0]:
-        raise ShapeError(f"scatter_add_rows: {a.shape} vs {idx.size} indices")
-    if plan is None:
-        plan = ScatterPlan(idx, num_rows)
-    elif plan.num_rows != int(num_rows) or plan.idx.size != idx.size:
-        raise ShapeError("scatter_add_rows: plan does not match index")
-    out = plan.matrix @ a.data
-    if out.ndim == 1:
-        out = out.reshape(-1, 1)
-
-    def vjp(g):
-        return (g[idx],)
-
-    return _apply("scatter_add_rows", out, (a,), vjp)
+    return _apply("gather_rows", a.data[idx], (a,), vjp)
 
 
 def _edge_dots(a, b, ia, ib) -> np.ndarray:
@@ -428,11 +387,11 @@ def aggregate(x, src_plan: ScatterPlan, dst_plan: ScatterPlan, weights=None) -> 
 
     out[i] = sum of w[e] * x[src[e]] over the edges with dst[e] == i, in
     ascending e; `weights` is one column per edge, and None means w = 1.
-    The edges are the plans' `idx`. One CSR product does the work of
-    `scatter_add_rows(hadamard(w, gather_rows(x, src)), dst)` with the same
-    float operations in the same order, so the results match that chain
-    bitwise while no edges-by-features array is kept for backward. Skips
-    the VJP of an operand that is not tracked.
+    The edges are the plans' `idx`. One CSR product does the work of the
+    gather, weight and segment-sum chain with the same float operations in
+    the same order, so the results match that chain bitwise while no
+    edges-by-features array is kept for backward. Skips the VJP of an
+    operand that is not tracked.
     """
     x = _as_tensor(x)
     src, dst = src_plan.idx, dst_plan.idx
@@ -458,6 +417,41 @@ def aggregate(x, src_plan: ScatterPlan, dst_plan: ScatterPlan, weights=None) -> 
         return (gx, gw)
 
     return _apply("aggregate", out, inputs, vjp)
+
+
+def edge_softmax(attend, neighbor, src_plan: ScatterPlan, dst_plan: ScatterPlan, slope) -> Tensor:
+    """GAT attention: LeakyReLU(attend[dst[e]] + neighbor[src[e]]) for each
+    edge e, softmax-normalized over the edges into dst[e], as one column.
+
+    The edges are the plans' `idx`, sorted by destination with one or more
+    per row, as a self-loop per node gives. Forward and VJP run the float
+    operations of the gather, add, LeakyReLU, max-shift, exp, segment-sum,
+    inverse and product chain in its order, so they match it bitwise.
+    Skips the VJP of an operand that is not tracked.
+    """
+    attend, neighbor = _as_tensor(attend), _as_tensor(neighbor)
+    src, dst, starts = src_plan.idx, dst_plan.idx, dst_plan.matrix.indptr
+    shapes = (attend.shape, neighbor.shape)
+    if src.size != dst.size or shapes != ((dst_plan.num_rows, 1), (src_plan.num_rows, 1)):
+        raise ShapeError(f"edge_softmax: scores {shapes} for {dst.size} and {src.size} edge ends")
+    if (np.diff(dst) < 0).any() or (np.diff(starts) == 0).any():
+        raise ValidationError("edge_softmax: edges unsorted by destination, or a row has none")
+    raw = attend.data[dst] + neighbor.data[src]
+    slopes = np.where(raw > 0, 1.0, float(slope))
+    scores = raw * slopes  # the LeakyReLU: raw * 1.0 is raw, bitwise
+    # shifted by the exact per-destination max: softmax is invariant, exp bounded
+    w = np.exp(scores - np.maximum.reduceat(scores[:, 0], starts[:-1])[dst].reshape(-1, 1))
+    denom = dst_plan.matrix @ w
+    inv = np.power(denom, -1.0)[dst]
+    grad_attend, grad_neighbor = _tracked(attend), _tracked(neighbor)
+
+    def vjp(g):
+        g_denom = (dst_plan.matrix @ (g * w)) * -1.0 * np.power(denom, -2.0)
+        g_raw = ((g * inv + g_denom[dst]) * w) * slopes
+        g_attend = dst_plan.matrix @ g_raw if grad_attend else None
+        return g_attend, (src_plan.matrix @ g_raw if grad_neighbor else None)
+
+    return _apply("edge_softmax", w * inv, (attend, neighbor), vjp)
 
 
 def permute_rows(a, perm) -> Tensor:
@@ -561,8 +555,6 @@ def primitive_gradient_suite(seed: int) -> list:
         ("hadamard", lambda a, b: reduced(hadamard(a, b)), [mat(5, 4), mat(5, 4)]),
         ("hadamard_bcast", lambda a, b: reduced(hadamard(a, b)), [mat(5, 1), mat(5, 4)]),
         ("relu", lambda a: reduced(relu(a)), [away_from_zero(5, 4)]),
-        ("leaky_relu", lambda a: reduced(leaky_relu(a, 0.2)), [away_from_zero(5, 4)]),
-        ("exp", lambda a: reduced(exp(a)), [mat(5, 4)]),
         (
             "l2_normalize_rows",
             lambda a: reduced(l2_normalize_rows(a)),
@@ -592,11 +584,6 @@ def primitive_gradient_suite(seed: int) -> list:
             lambda a: mean_scalar(hadamard(gather_rows(a, idx), scatter_in)),
             [mat(5, 4)],
         ),
-        (
-            "scatter_add_rows",
-            lambda a: reduced(scatter_add_rows(a, idx, 5, plan)),
-            [mat(9, 4)],
-        ),
         ("transpose", lambda a: mean_scalar(power(transpose(a), 2.0)), [mat(5, 3)]),
     ]
     # drawn after the cases above, whose inputs stay what they were
@@ -610,4 +597,14 @@ def primitive_gradient_suite(seed: int) -> list:
         ),
         ("permute_rows", lambda a: reduced(permute_rows(a, perm)), [mat(5, 4)]),
     ]
+    # random edges and a self-loop per row, sorted by destination
+    pairs = np.vstack([rng.integers(0, 5, size=(9, 2)), np.arange(5).repeat(2).reshape(5, 2)])
+    ends = pairs[np.argsort(pairs[:, 1], kind="stable")].T
+    soft = ScatterPlan(ends[0], 5), ScatterPlan(ends[1], 5), 0.2
+    upstream = Tensor(mat(14, 1))
+    cases.append((
+        "edge_softmax",
+        lambda a, n: mean_scalar(hadamard(edge_softmax(a, n, *soft), upstream)),
+        [mat(5, 1), mat(5, 1)],
+    ))
     return [(name, gradient_check(f, xs)) for name, f, xs in cases]

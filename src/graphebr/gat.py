@@ -124,13 +124,12 @@ class _GraphPlan:
     """Canonically ordered edge arrays with reusable scatter plans.
 
     Edges carry one appended self-loop per node and are sorted by
-    (destination, source), so per-destination groups are contiguous and every
-    segment reduction runs in one fixed order regardless of input labeling.
+    (destination, source), so every destination group is contiguous and
+    non-empty, and every segment reduction runs in one fixed order
+    regardless of input labeling.
     """
 
-    __slots__ = (
-        "order", "inv", "src", "dst", "group_starts", "dst_plan", "src_plan", "num_nodes",
-    )
+    __slots__ = ("order", "inv", "dst_plan", "src_plan")
 
     def __init__(self, graph_like):
         m = graph_like.num_nodes
@@ -144,15 +143,10 @@ class _GraphPlan:
         # one int64 key gives the src and dst of lexsort((src, dst)): tied
         # keys are the same edge, so their order changes no array below
         perm = np.argsort(dst * m + src)
-        self.src = src[perm]
-        self.dst = dst[perm]
-        # every node has its self-loop, so all m destination groups exist
-        self.group_starts = np.searchsorted(self.dst, loops, side="left")
-        self.dst_plan = ScatterPlan(self.dst, m)
-        self.src_plan = ScatterPlan(self.src, m)
+        self.dst_plan = ScatterPlan(dst[perm], m)
+        self.src_plan = ScatterPlan(src[perm], m)
         self.order = order
         self.inv = inv
-        self.num_nodes = m
 
 
 def _attention(layer: GATLayerParams, plan: _GraphPlan, h: Tensor):
@@ -160,19 +154,8 @@ def _attention(layer: GATLayerParams, plan: _GraphPlan, h: Tensor):
     Wh = ad.matmul(h, layer.W)
     attend = ad.matmul(Wh, layer.att_src)
     neighbor = ad.matmul(Wh, layer.att_dst)
-    scores = ad.leaky_relu(
-        ad.add(
-            ad.gather_rows(attend, plan.dst, plan.dst_plan),
-            ad.gather_rows(neighbor, plan.src, plan.src_plan),
-        ),
-        _LEAKY_SLOPE,
-    )
-    # constant per-group max shift: softmax is invariant and exp stays bounded
-    shift = np.maximum.reduceat(scores.data[:, 0], plan.group_starts)[plan.dst]
-    weights = ad.exp(ad.sub(scores, Tensor(shift.reshape(-1, 1))))
-    denom = ad.scatter_add_rows(weights, plan.dst, plan.num_nodes, plan.dst_plan)
-    inv_denom = ad.gather_rows(ad.power(denom, -1.0), plan.dst, plan.dst_plan)
-    return ad.hadamard(weights, inv_denom), Wh
+    alpha = ad.edge_softmax(attend, neighbor, plan.src_plan, plan.dst_plan, _LEAKY_SLOPE)
+    return alpha, Wh
 
 
 def _layer_forward(layer, plan, h, final: bool) -> Tensor:

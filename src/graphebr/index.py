@@ -121,7 +121,10 @@ def load_table(path) -> EmbeddingTable:
             num_nodes, dim = map(int, fh.readline().split())
         except ValueError:  # a token count other than two, a non-integer, or undecodable bytes
             raise ValidationError(f"embedding table {path}: malformed header") from None
-        flat = np.loadtxt(fh, ndmin=2)
+        try:
+            flat = np.loadtxt(fh, ndmin=2)
+        except ValueError as exc:  # a token that is not a number, or a ragged row
+            raise ValidationError(f"embedding table {path}: {exc}") from None
     if flat.shape != (num_nodes, dim):
         raise ValidationError(
             f"embedding table {path}: header says {(num_nodes, dim)}, found {flat.shape}"

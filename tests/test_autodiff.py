@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -24,6 +26,17 @@ class TestTensor:
     def test_non_finite_input_rejected(self):
         with pytest.raises(ValidationError):
             ad.Tensor([np.nan, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_input_rejected(self, bad):
+        with pytest.raises(ValidationError, match="tensor: values must be finite"):
+            ad.Tensor([bad, 1.0])
+
+    def test_finite_input_whose_sum_overflows_is_kept_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = ad.Tensor([[1e308, 1e308], [-1e308, 2.0]])
+        np.testing.assert_array_equal(t.data, [[1e308, 1e308], [-1e308, 2.0]])
 
     def test_item_requires_single_element(self):
         with pytest.raises(ShapeError):
@@ -67,24 +80,15 @@ class TestForwardValues:
 
     def test_overflow_surfaces_as_numeric_error(self):
         with pytest.raises(NumericError):
-            ad.exp(ad.Tensor([[1000.0]]))
+            ad.power(ad.Tensor([[1e200]]), 2.0)
 
-    def test_scatter_then_gather_roundtrip(self):
-        vals = ad.Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        idx = np.array([1, 1, 0])
-        out = ad.scatter_add_rows(vals, idx, 2)
-        np.testing.assert_array_equal(out.data, [[5.0, 6.0], [4.0, 6.0]])
-        back = ad.gather_rows(out, np.array([0, 1, 1]))
-        np.testing.assert_array_equal(back.data[2], [4.0, 6.0])
-
-    def test_scatter_plan_matches_ad_hoc_indices(self):
-        rng = np.random.default_rng(3)
-        vals = ad.Tensor(rng.normal(size=(30, 5)))
-        idx = rng.integers(0, 8, size=30)
-        plan = ad.ScatterPlan(idx, 8)
-        with_plan = ad.scatter_add_rows(vals, idx, 8, plan)
-        without = ad.scatter_add_rows(vals, idx, 8)
-        np.testing.assert_array_equal(with_plan.data, without.data)
+    def test_finite_output_whose_sum_overflows_is_kept_without_warning(self):
+        x = ad.Tensor([[1e308, 1e308]], requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ad.scale(x, 1.0)
+        np.testing.assert_array_equal(out.data, x.data)
+        ad.active_tape().clear()
 
     @pytest.mark.parametrize(
         "idx, num_rows",
@@ -187,12 +191,22 @@ class TestBackward:
         np.testing.assert_array_equal(grads[x], [[1.0]])
 
 
-def _aggregate_chain(x, w, src, dst, num_out):
-    """The gather -> weight -> scatter chain that `aggregate` fuses."""
-    src_plan, dst_plan = ad.ScatterPlan(src, x.shape[0]), ad.ScatterPlan(dst, num_out)
-    gathered = ad.gather_rows(x, src, src_plan)
-    messages = gathered if w is None else ad.hadamard(w, gathered)
-    return ad.scatter_add_rows(messages, dst, num_out, dst_plan)
+def _segment_sum(rows, values, num_rows):
+    """Rows of `values` added into zeros at `rows`, in ascending position."""
+    out = np.zeros((num_rows, values.shape[1]))
+    np.add.at(out, rows, values)
+    return out
+
+
+def _aggregate_chain(x, w, src, dst, num_out, upstream):
+    """Value and both gradients of the gather -> weight -> segment-sum chain
+    that `aggregate` fuses, under the loss mean(out * upstream), in numpy."""
+    messages = x[src] if w is None else w * x[src]
+    out = _segment_sum(dst, messages, num_out)
+    g = np.full(out.shape, 1.0 / out.size) * upstream
+    gx = _segment_sum(src, g[dst] if w is None else g[dst] * w, x.shape[0])
+    gw = None if w is None else (g[dst] * x[src]).sum(axis=1, keepdims=True)
+    return out, gx, gw
 
 
 def _aggregate_fused(x, w, src, dst, num_out):
@@ -214,10 +228,10 @@ class TestAggregate:
             src, dst = src[order], dst[order]
         return src, dst, n_in, n_out
 
-    def _run(self, fn, x_data, w_data, src, dst, n_out, upstream):
+    def _run(self, x_data, w_data, src, dst, n_out, upstream):
         x = ad.Tensor(x_data, requires_grad=True)
         w = None if w_data is None else ad.Tensor(w_data, requires_grad=True)
-        out = fn(x, w, src, dst, n_out)
+        out = _aggregate_fused(x, w, src, dst, n_out)
         grads = ad.backward(ad.mean_scalar(ad.hadamard(out, ad.Tensor(upstream))))
         gx = grads.get(x, np.zeros_like(x_data))
         gw = None if w is None else grads.get(w, np.zeros_like(w_data))
@@ -232,8 +246,8 @@ class TestAggregate:
         w = rng.uniform(0.1, 1.0, size=(src.size, 1)) if weighted else None
         upstream = rng.normal(size=(n_out, 5))
         upstream[0] = -0.0  # a signed zero must come back as the chain returns it
-        want = self._run(_aggregate_chain, x, w, src, dst, n_out, upstream)
-        got = self._run(_aggregate_fused, x, w, src, dst, n_out, upstream)
+        want = _aggregate_chain(x, w, src, dst, n_out, upstream)
+        got = self._run(x, w, src, dst, n_out, upstream)
         for name, a, b in zip(("value", "x grad", "weights grad"), got, want):
             if b is None:
                 assert a is None
@@ -247,9 +261,9 @@ class TestAggregate:
         w = ad.Tensor(rng.uniform(size=(src.size, 1)), requires_grad=True)
         with ad.no_grad():
             got = _aggregate_fused(x, w, src, dst, n_out)
-            want = _aggregate_chain(x, w, src, dst, n_out)
         assert len(ad.active_tape()) == 0
-        assert got.data.tobytes() == want.data.tobytes()
+        want, _, _ = _aggregate_chain(x.data, w.data, src, dst, n_out, np.zeros((n_out, 3)))
+        assert got.data.tobytes() == want.tobytes()
 
     def test_untracked_operand_gets_no_vjp(self):
         rng = np.random.default_rng(13)
@@ -289,6 +303,104 @@ class TestAggregate:
             ad.aggregate(x, plan3, plan3, ad.Tensor(np.ones((3, 2))))
 
 
+def _softmax_edges(rng, num_rows, num_random):
+    """Random (src, dst) edges plus a self-loop per row, sorted by dst;
+    the random draws repeat edges."""
+    loops = np.arange(num_rows).repeat(2).reshape(num_rows, 2)
+    pairs = np.vstack([rng.integers(0, num_rows, size=(num_random, 2)), loops])
+    return pairs[np.argsort(pairs[:, 1], kind="stable")].T
+
+
+def _edge_softmax_chain(attend, neighbor, src, dst, slope, g):
+    """Value, attend gradient and neighbor gradient of the gather, add,
+    LeakyReLU, max-shift, exp, segment-sum, inverse and product chain that
+    `edge_softmax` fuses, in numpy, for the upstream gradient g."""
+    m = attend.shape[0]
+    raw = attend[dst] + neighbor[src]
+    scores = np.where(raw > 0, raw, slope * raw)
+    starts = np.searchsorted(dst, np.arange(m))
+    w = np.exp(scores - np.maximum.reduceat(scores[:, 0], starts)[dst].reshape(-1, 1))
+    denom = _segment_sum(dst, w, m)
+    inv = np.power(denom, -1.0)[dst]
+    g_denom = _segment_sum(dst, g * w, m) * -1.0 * np.power(denom, -2.0)
+    g_raw = ((g * inv + g_denom[dst]) * w) * np.where(raw > 0, 1.0, slope)
+    g_neighbor = _segment_sum(src, g_raw, neighbor.shape[0])
+    return w * inv, _segment_sum(dst, g_raw, m), g_neighbor
+
+
+class TestEdgeSoftmax:
+    """`edge_softmax` must equal the numpy chain byte for byte."""
+
+    @staticmethod
+    def _inputs(seed, m=7, num_random=30):
+        rng = np.random.default_rng(seed)
+        src, dst = _softmax_edges(rng, m, num_random)
+        scores = rng.normal(size=(2, m, 1))  # both LeakyReLU sides
+        return src, dst, scores[0], scores[1], rng.normal(size=(src.size, 1))
+
+    @staticmethod
+    def _call(attend, neighbor, src, dst, slope=0.2):
+        m = attend.shape[0]
+        plans = ad.ScatterPlan(src, m), ad.ScatterPlan(dst, m)
+        return ad.edge_softmax(attend, neighbor, *plans, slope)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_value_and_vjp_match_the_numpy_chain_bitwise(self, seed):
+        src, dst, attend, neighbor, g = self._inputs(seed)
+        g[0] = -0.0
+        tracked = ad.Tensor(attend, requires_grad=True), ad.Tensor(neighbor, requires_grad=True)
+        out = self._call(*tracked, src, dst)
+        (_, _, vjp), = ad.active_tape().records
+        ad.active_tape().clear()
+        want = _edge_softmax_chain(attend, neighbor, src, dst, 0.2, g)
+        for name, a, b in zip(("value", "attend grad", "neighbor grad"), (out.data, *vjp(g)), want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        sums = _segment_sum(dst, out.data, attend.shape[0])
+        np.testing.assert_allclose(sums, 1.0, rtol=1e-14)
+
+    def test_no_grad_records_nothing_and_keeps_the_value(self):
+        src, dst, attend, neighbor, g = self._inputs(5)
+        with ad.no_grad():
+            out = self._call(ad.Tensor(attend, requires_grad=True), ad.Tensor(neighbor), src, dst)
+        assert len(ad.active_tape()) == 0
+        want, _, _ = _edge_softmax_chain(attend, neighbor, src, dst, 0.2, g)
+        assert out.data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tracked", [0, 1])
+    def test_untracked_operand_gets_no_vjp(self, tracked):
+        src, dst, attend, neighbor, g = self._inputs(6)
+        operands = [ad.Tensor(attend), ad.Tensor(neighbor)]
+        operands[tracked].requires_grad = True
+        self._call(*operands, src, dst)
+        (_, _, vjp), = ad.active_tape().records
+        ad.active_tape().clear()
+        grads = vjp(g)
+        assert grads[1 - tracked] is None and grads[tracked].shape == (7, 1)
+
+    def test_mismatched_shapes_rejected(self):
+        src, dst, attend, neighbor, _ = self._inputs(7)
+        src_plan, dst_plan = ad.ScatterPlan(src, 7), ad.ScatterPlan(dst, 7)
+        for a, n, sp_, dp_ in (
+            (np.ones((7, 2)), neighbor, src_plan, dst_plan),
+            (attend, np.ones((6, 1)), src_plan, dst_plan),
+            (np.ones((8, 1)), neighbor, src_plan, dst_plan),
+            (attend, neighbor, ad.ScatterPlan(src[1:], 7), dst_plan),
+        ):
+            with pytest.raises(ShapeError, match="^edge_softmax: scores"):
+                ad.edge_softmax(a, n, sp_, dp_, 0.2)
+
+    @pytest.mark.parametrize("case", ["unsorted", "empty_row"])
+    def test_unsorted_or_empty_destination_plan_rejected(self, case):
+        if case == "unsorted":
+            src, dst = np.array([0, 1, 2, 1]), np.array([0, 1, 2, 0])
+        else:  # row 1 receives no edge
+            src, dst = np.array([0, 1, 2]), np.array([0, 0, 2])
+        scores = ad.Tensor(np.ones((3, 1)))
+        named = "^edge_softmax: edges unsorted by destination, or a row has none"
+        with pytest.raises(ValidationError, match=named):
+            self._call(scores, scores, src, dst)
+
+
 class TestPermuteRows:
     def test_value_and_gradient_match_gather_rows_bitwise(self):
         rng = np.random.default_rng(14)
@@ -296,16 +408,11 @@ class TestPermuteRows:
         x = rng.normal(size=(7, 3))
         g = rng.normal(size=(7, 3))
         g[2] = -0.0  # the scatter into zeros returns +0.0 here
-        results = []
-        for fn in (
-            lambda a: ad.permute_rows(a, perm),
-            lambda a: ad.gather_rows(a, perm, ad.ScatterPlan(perm, 7)),
-        ):
-            out = fn(ad.Tensor(x, requires_grad=True))
-            (_, _, vjp), = ad.active_tape().records
-            ad.active_tape().clear()
-            results.append(out.data.tobytes() + vjp(g)[0].tobytes())
-        assert results[0] == results[1]
+        out = ad.permute_rows(ad.Tensor(x, requires_grad=True), perm)
+        (_, _, vjp), = ad.active_tape().records
+        ad.active_tape().clear()
+        got = out.data.tobytes() + vjp(g)[0].tobytes()
+        assert got == x[perm].tobytes() + _segment_sum(perm, g, 7).tobytes()
 
     @pytest.mark.parametrize("perm", [[0, 0, 2], [0, 1], [0, 1, 3], [2, 1, 0, 3]])
     def test_non_permutation_rejected(self, perm):

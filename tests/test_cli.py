@@ -425,6 +425,17 @@ class TestEmbedIndexRetrieve:
                          "--queries", str(queries), "--k", "3"]) == 1
         assert_single_error_line(capsys)
 
+    @pytest.mark.parametrize("body", ["1 2\n3 x\n", "1 2\n3\n"])
+    def test_bad_table_body_exits_one_naming_the_file(self, tmp_path, capsys, body):
+        table = tmp_path / "table.txt"
+        table.write_text("2 2\n" + body)
+        queries = tmp_path / "queries.txt"
+        queries.write_text("0\n")
+        assert cli_main(["retrieve", "--table", str(table), "--queries", str(queries)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: embedding table {table}: ")
+        assert err.strip().count("\n") == 0
+
     def test_malformed_index_files_exit_one(self, tmp_path, capsys):
         vectors = np.random.default_rng(4).normal(size=(30, 4))
         path = tmp_path / "index.npz"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -181,7 +183,83 @@ class TestGraphPlan:
         src = np.concatenate([inv[edges[:, 0]], np.arange(n)])
         dst = np.concatenate([inv[edges[:, 1]], np.arange(n)])
         perm = np.lexsort((src, dst))
-        assert np.array_equal(plan.src, src[perm]) and np.array_equal(plan.dst, dst[perm])
+        assert np.array_equal(plan.src_plan.idx, src[perm])
+        assert np.array_equal(plan.dst_plan.idx, dst[perm])
+
+
+def _pin_subgraph(case):
+    """Two-layer params and a hand-made subgraph that reaches one corner of
+    the attention softmax."""
+    params = init_params([3, 5, 4], [4, 4], rng_seed=31)
+    if case == "self_loop_only":  # node 4 attends only to itself
+        return params, make_subgraph(5, [[0, 1], [1, 2], [2, 3]], seed=31)
+    if case == "negative_side":
+        # positive features and weights with negative attention vectors put
+        # every score at or below zero, on the LeakyReLU's sloped side
+        for layer in params.layers:
+            layer.W = Tensor(np.abs(layer.W.data), requires_grad=True)
+            layer.att_src = Tensor(-np.abs(layer.att_src.data), requires_grad=True)
+            layer.att_dst = Tensor(-np.abs(layer.att_dst.data), requires_grad=True)
+        features = np.abs(np.random.default_rng(32).normal(size=(5, 3))) + 0.1
+        edges = [[0, 1], [0, 2], [1, 2], [2, 3], [3, 4], [1, 4]]
+        return params, make_subgraph(5, edges, features=features)
+    if case == "duplicate_edges":  # both directions of 0-1 and 2-3 twice
+        return params, make_subgraph(4, [[0, 1], [0, 1], [2, 3], [1, 2], [2, 3]], seed=33)
+    if case == "one_node":
+        return params, make_subgraph(1, np.zeros((0, 2)), seed=34)
+    assert case == "unsorted_labels"  # canonical order differs from local order
+    gids = np.array([40, 7, 23, 3, 91, 15])
+    edges = [[0, 1], [1, 2], [2, 5], [3, 4], [4, 0], [5, 3]]
+    return params, make_subgraph(6, edges, global_ids=gids, seed=35)
+
+
+def _encode_and_gradient_digest(params, sub) -> str:
+    z = encode(params, sub)
+    upstream = Tensor(np.random.default_rng(36).normal(size=z.shape))
+    grads = ad.backward(ad.mean_scalar(ad.hadamard(z, upstream)))
+    digest = hashlib.sha256(z.data.tobytes())
+    for name, p in params.named_parameters().items():
+        if p in grads:
+            digest.update(name.encode())
+            digest.update(grads[p].tobytes())
+    return digest.hexdigest()
+
+
+# sha256 of encode's output and of every parameter gradient `backward`
+# returns, recorded while the attention softmax was still a chain of
+# gather, add, leaky_relu, sub, exp, scatter, power and hadamard
+# primitives, on a 2-core x86-64 host with scipy-openblas 0.3.31.
+EXPECTED_ENCODE_GRAD_SHA256 = {
+    "self_loop_only": "e7b37f4167fdc7289cfc6e52536bde75459f463f186bb080fff0c9f944a9adf1",
+    "negative_side": "96ca007a6200bdfdac1d9ba513d9ebe16b3d8520b7594b92c7062375f7cae143",
+    "duplicate_edges": "0f0149d5a72dbb8509f6370fe037e67f1c25e235dcba5cddcfd588e87e94a9ef",
+    "one_node": "6701f0bda494bfd47e14efb391074924b5d7ea66d995360f37ee9b02d4fe4ccb",
+    "unsorted_labels": "e805cc1c3418e59a37e00f8517b00275c77be37fa8742b6eb424cb7883932933",
+}
+
+
+class TestEncodeGradientPins:
+    @pytest.mark.parametrize("case", sorted(EXPECTED_ENCODE_GRAD_SHA256))
+    def test_output_and_parameter_gradients_are_bitwise_pinned(self, case):
+        params, sub = _pin_subgraph(case)
+        digest = _encode_and_gradient_digest(params, sub)
+        assert digest == EXPECTED_ENCODE_GRAD_SHA256[case]
+
+    def test_two_layer_encode_records_one_edge_softmax_per_layer(self):
+        params, sub = _pin_subgraph("unsorted_labels")
+        encode(params, sub)
+        kinds = [vjp.__qualname__.split(".")[0] for _, _, vjp in ad.active_tape().records]
+        ad.active_tape().clear()
+        layer = ["matmul"] * 3 + ["edge_softmax", "aggregate"]
+        assert kinds == layer + ["relu"] + layer + ["permute_rows"]
+
+    def test_negative_side_case_has_no_positive_first_layer_score(self):
+        params, sub = _pin_subgraph("negative_side")
+        layer = params.layers[0]
+        Wh = sub.local_features @ layer.W.data
+        src, dst = np.vstack([sub.local_edges, np.arange(5).repeat(2).reshape(5, 2)]).T
+        scores = (Wh @ layer.att_src.data)[dst] + (Wh @ layer.att_dst.data)[src]
+        assert (scores < 0).all()
 
 
 class TestKHopLocality:

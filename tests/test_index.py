@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import re
 import warnings
 
 import numpy as np
@@ -183,6 +184,15 @@ class TestTableSerialization:
             path.write_bytes(data)
             with pytest.raises(ValidationError, match=f"^embedding table {path}: malformed header"):
                 load_table(path)
+
+    @pytest.mark.parametrize("body", ["1 2 3\n4 x 6\n", "1 2 3\n4 5\n"])
+    def test_bad_text_body_is_one_named_error(self, tmp_path, body):
+        # a token that is not a number, or a ragged row: numpy's own
+        # ValueError used to pass through without the file's name
+        path = tmp_path / "bad.txt"
+        path.write_text("2 3\n" + body)
+        with pytest.raises(ValidationError, match=f"^embedding table {re.escape(str(path))}: "):
+            load_table(path)
 
     def test_header_row_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "short.txt"
