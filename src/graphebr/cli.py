@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
+
 from .autodiff import primitive_gradient_suite
 from .errors import ValidationError
 from .evaluation import (
@@ -37,7 +39,7 @@ from .graph import GraphStore, generate_synthetic_graph, load_graph, save_graph
 from .index import (
     ann_topk,
     build_ann_index,
-    exact_topk,
+    exact_topk_block,
     export_embeddings,
     load_index,
     load_table,
@@ -238,28 +240,22 @@ def _cmd_index(args) -> int:
 
 def _cmd_retrieve(args) -> int:
     queries = _read_queries(args.queries)
-    if args.table:
-        table = load_table(args.table)
-        num_nodes = table.num_nodes
-
-        def run(q):
-            return exact_topk(table, table.vectors[q], k=args.k, exclude={q})
-    else:
-        index = load_index(args.index)
-        num_nodes = len(index.vectors)
-
-        def run(q):
-            return ann_topk(
-                index, index.vectors[q], k=args.k,
-                ef_search=max(args.ef_search, args.k), exclude={q},
-            )
-
-    bad = [q for q in queries if not 0 <= q < num_nodes]
+    index = None if args.table else load_index(args.index)
+    table = load_table(args.table) if args.table else index.table
+    bad = [q for q in queries if not 0 <= q < table.num_nodes]
     if bad:
         raise ValidationError(f"retrieve: query ids out of range: {bad[:5]}")
+    if index is None:
+        # each query excludes itself
+        ids = np.array(queries, dtype=np.int64)
+        results = exact_topk_block(table, table.vectors[ids], args.k, (np.ones(len(ids), dtype=np.int64), ids))
+    else:
+        results = [
+            ann_topk(index, table.vectors[q], k=args.k, ef_search=max(args.ef_search, args.k), exclude={q})
+            for q in queries
+        ]
     lines = []
-    for q in queries:
-        result = run(q)
+    for q, result in zip(queries, results):
         for rank, (cand, score) in enumerate(zip(result.ids, result.scores), start=1):
             lines.append(f"{q} {int(cand)} {rank} {float(score):.17g}")
     _emit("\n".join(lines) + "\n", args.output)

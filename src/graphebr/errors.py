@@ -52,9 +52,11 @@ def integer_array(values, what: str) -> np.ndarray:
     """`values` as an int64 array, refusing any element that is not an
     integer by `is_integer` (a bool, a float, a string): nothing is cast.
 
-    An integer-typed numpy array passes as it is; any other input is
-    checked once per distinct element type.
+    An integer-typed numpy array, or a flat list of Python ints, passes as
+    it is; any other input is checked once per distinct element type.
     """
+    if isinstance(values, list) and set(map(type, values)) <= {int}:
+        return np.array(values, dtype=np.int64)
     raw = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
     if raw.dtype.kind not in "iu" and not all(map(_integral, set(map(type, raw.flat)))):
         raise ValidationError(f"{what} must be integers")

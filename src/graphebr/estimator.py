@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError, integer_array
 from .graph import GraphStore
-from .index import ann_topk, build_ann_index, exact_topk, export_embeddings
+from .index import ann_topk, build_ann_index, exact_topk_block, export_embeddings
 from .training import TrainConfig, train
 
 
@@ -113,28 +113,31 @@ class GraphEmbeddingRetriever:
             ids = integer_array(node_ids, "estimator: node ids").reshape(-1)
         if ids.size and (ids.min() < 0 or ids.max() >= self.graph_.num_nodes):
             raise ValidationError("estimator: node id out of range")
-        scores, found = [], []
-        for u in ids:
-            u = int(u)
-            exclude = {u}
-            if exclude_training_neighbors:
-                exclude |= set(self.graph_.neighbors(u).tolist())
-            q = self.table_.vectors[u]
-            if self.index_ is not None:
-                result = ann_topk(
-                    self.index_, q, k=n_neighbors,
-                    ef_search=max(self.ef_search, n_neighbors), exclude=exclude,
+        degree, nbrs = (
+            self.graph_.neighbors_of(ids) if exclude_training_neighbors
+            else (np.zeros(len(ids), dtype=np.int64), ids[:0])
+        )
+        starts = np.cumsum(degree) - degree
+        if self.index_ is None:
+            # each query's CSR row of exclusions: the node, then its neighbors
+            exclude = (degree + 1, np.insert(nbrs, starts, ids))
+            results = exact_topk_block(self.table_, self.table_.vectors[ids], n_neighbors, exclude)
+        else:
+            results = [
+                ann_topk(
+                    self.index_, self.table_.vectors[u], k=n_neighbors,
+                    ef_search=max(self.ef_search, n_neighbors),
+                    exclude={u, *nbrs[s : s + d].tolist()},
                 )
-            else:
-                result = exact_topk(self.table_, q, k=n_neighbors, exclude=exclude)
+                for u, s, d in zip(ids.tolist(), starts.tolist(), degree.tolist())
+            ]
+        for u, result in zip(ids.tolist(), results):
             if result.truncated:
                 raise ValidationError(
                     f"estimator: query {u} produced {len(result.ids)} of "
                     f"{n_neighbors} requested neighbors"
                 )
-            scores.append(result.scores)
-            found.append(result.ids)
-        return np.vstack(scores), np.vstack(found)
+        return np.vstack([r.scores for r in results]), np.vstack([r.ids for r in results])
 
     def predict(self, node_ids=None) -> np.ndarray:
         """Best retrieval candidate per query node."""

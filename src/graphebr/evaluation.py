@@ -247,9 +247,12 @@ def evaluate_table(
     Each pair (u, v) contributes exactly one query in stored order. The
     candidates are every node but u and u's training neighbours, and v's
     rank is 1 plus the number of candidates that score higher than v, or
-    the same with a smaller id: v's position in `exact_topk` order. Queries
-    are scored in blocks of max(1, _SCAN_ENTRIES // num_nodes) rows, so a
-    block's score matrix takes about 4 MiB, or one row if that is more.
+    the same with a smaller id. That is v's position in `exact_topk` order,
+    except where two scores lie within an ulp or so of each other: these
+    scores come from the block's GEMM, whose rounding can differ from the
+    row scores `exact_topk` ranks by. Queries are scored in blocks of
+    max(1, _SCAN_ENTRIES // num_nodes) rows, so a block's score matrix
+    takes about 4 MiB, or one row if that is more.
     A block costs one matmul, one assignment that masks every exclusion,
     and one compare pass over each row; per pair, Python only sums that
     row's two counts. Ranks past the MRR cap contribute zero reciprocal rank.

@@ -19,7 +19,7 @@ from graphebr.errors import ValidationError
 from graphebr.evaluation import EvalSettings
 from graphebr.graph import load_graph
 import graphebr
-from graphebr.index import EmbeddingTable, build_ann_index, load_table, save_index, save_table
+from graphebr.index import EmbeddingTable, build_ann_index, exact_topk, load_table, save_index, save_table
 from graphebr.losses import CcaConfig, LossWeights, MaeConfig
 from graphebr.sampling import AugmentationConfig
 from graphebr.training import _JSON_TYPES, TrainConfig, load_dataclass
@@ -435,6 +435,42 @@ class TestEmbedIndexRetrieve:
         err = capsys.readouterr().err
         assert err.startswith(f"error: embedding table {table}: ")
         assert err.strip().count("\n") == 0
+
+    @pytest.mark.parametrize("body, named", [
+        (b"1 2\n3 \xff\n", "line 3: undecodable bytes"),
+        (b"1 2\n3 x\n", "line 3: non-numeric value in '3 x'"),
+        (b"1 2\n\n# comment\n3\n", "line 5: expected 2 values, got 1"),
+    ])
+    def test_bad_table_body_names_the_line(self, tmp_path, capsys, body, named):
+        # the header is line 1, as in the graph parsers: an undecodable byte
+        # used to read as a malformed header, and numpy counted rows its own way
+        table = tmp_path / "table.txt"
+        table.write_bytes(b"2 2\n" + body)
+        with pytest.raises(ValidationError) as raised:
+            load_table(table)
+        assert str(raised.value) == f"embedding table {table}: {named}"
+        queries = tmp_path / "queries.txt"
+        queries.write_text("0\n")
+        assert cli_main(["retrieve", "--table", str(table), "--queries", str(queries)]) == 1
+        assert capsys.readouterr().err == f"error: embedding table {table}: {named}\n"
+
+    def test_retrieve_table_matches_per_query_exact_topk(self, tmp_path, capsys, monkeypatch):
+        import graphebr.index as gi
+
+        table = EmbeddingTable(np.random.default_rng(8).normal(size=(70, 5)))
+        table_path = tmp_path / "table.bin"
+        save_table(table, table_path, binary=True)
+        ids = [3, 0, 69, 3, 41, 12, 7, 7, 55, 20, 1]
+        queries = tmp_path / "queries.txt"
+        queries.write_text("".join(f"{q}\n" for q in ids))
+        want = []
+        for q in ids:
+            r = exact_topk(table, table.vectors[q], k=6, exclude={q})
+            want += [f"{q} {c} {rank} {s:.17g}" for rank, (c, s) in enumerate(zip(r.ids, r.scores), start=1)]
+        for entries in (1, 70 * 4, 1 << 19):
+            monkeypatch.setattr(gi, "_SCREEN_ENTRIES", entries)
+            assert cli_main(["retrieve", "--table", str(table_path), "--queries", str(queries), "--k", "6"]) == 0
+            assert capsys.readouterr().out.splitlines() == want
 
     def test_malformed_index_files_exit_one(self, tmp_path, capsys):
         vectors = np.random.default_rng(4).normal(size=(30, 4))

@@ -147,6 +147,24 @@ class TestKneighbors:
         _, ids = est.kneighbors([np.int32(3), np.uint8(4)], n_neighbors=2)
         np.testing.assert_array_equal(ids, est.kneighbors([3, 4], n_neighbors=2)[1])
 
+    def test_exact_answers_match_per_query_exact_topk(self, monkeypatch):
+        import graphebr.index as gi
+        from graphebr.index import exact_topk
+
+        graph = small_graph()
+        est = small_estimator().fit(graph)
+        vectors = est.table_.vectors
+        for exclude_neighbors in (True, False):
+            want = []
+            for u in range(graph.num_nodes):
+                exclude = {u, *graph.neighbors(u).tolist()} if exclude_neighbors else {u}
+                want.append(exact_topk(est.table_, vectors[u], k=4, exclude=exclude))
+            for entries in (1, 50 * 7, 1 << 19):
+                monkeypatch.setattr(gi, "_SCREEN_ENTRIES", entries)
+                scores, ids = est.kneighbors(n_neighbors=4, exclude_training_neighbors=exclude_neighbors)
+                assert ids.tobytes() == np.vstack([r.ids for r in want]).tobytes()
+                assert scores.tobytes() == np.vstack([r.scores for r in want]).tobytes()
+
     def test_hnsw_variant_matches_exact_at_full_beam(self):
         graph = small_graph()
         exact = small_estimator().fit(graph)

@@ -16,6 +16,7 @@ from graphebr.index import (
     ann_topk,
     build_ann_index,
     exact_topk,
+    exact_topk_block,
     export_embeddings,
     load_index,
     load_table,
@@ -182,7 +183,7 @@ class TestTableSerialization:
         path = tmp_path / "bad.txt"
         for data in (b"3 x\n1 2 3\n", b"3.0 2\n", np.array([-1, -3], dtype="<i8").tobytes()):
             path.write_bytes(data)
-            with pytest.raises(ValidationError, match=f"^embedding table {path}: malformed header"):
+            with pytest.raises(ValidationError, match=f"^embedding table {path}: line 1: malformed header"):
                 load_table(path)
 
     @pytest.mark.parametrize("body", ["1 2 3\n4 x 6\n", "1 2 3\n4 5\n"])
@@ -199,6 +200,22 @@ class TestTableSerialization:
         path.write_text("3 2\n1 2\n3 4\n")
         with pytest.raises(ValidationError):
             load_table(path)
+
+    def test_every_text_table_error_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        for text, named in (
+            ("3 2\n1 2\n3 4\n", "line 1: header says 3 rows, found 2"),
+            ("2 0\n", "line 1: malformed header"),
+            ("2 2\n1 2\n\n3 nan\n", "line 4: non-finite values or squared norm"),
+            ("2 2\n1 2 # note\n1e200 1\n", "line 3: non-finite values or squared norm"),
+            ("2 3\n1 2\n3 4\n", "line 2: expected 3 values, got 2"),
+        ):
+            path.write_text(text)
+            with pytest.raises(ValidationError) as raised:
+                load_table(path)
+            assert str(raised.value) == f"embedding table {path}: {named}"
+        path.write_text("2 2\n# two rows\n1 2\n\n3 4  # last\n")
+        assert load_table(path).vectors.tolist() == [[1, 2], [3, 4]]
 
     def test_bad_binary_header_rejected(self, tmp_path):
         path = tmp_path / "table.bin"
@@ -284,6 +301,163 @@ class TestExactTopk:
                     exact_topk(table, bad, k=1)
                 with pytest.raises(ValidationError, match="squared norm"):
                     ann_topk(build_ann_index(table), bad, k=1)
+
+
+def ranked(vectors, q, k, exclude=()):
+    """The answer exact_topk must give: kept rows by their float64 row
+    score, best first, ties to the smaller id."""
+    import graphebr.index as gi
+
+    vectors = np.asarray(vectors, dtype=np.float64)
+    n = len(vectors)
+    scores = gi._row_scores(vectors, np.arange(n), np.asarray(q, dtype=np.float64)[None], np.zeros(n, dtype=np.intp))
+    kept = sorted(set(range(n)) - set(exclude), key=lambda i: (-scores[i], i))
+    return kept[:k]
+
+
+class TestScreenedScan:
+    """exact_topk screens every row in float32 and ranks a shortlist in
+    float64. Each test holds a case that a screen without its rounding
+    bound answers wrongly."""
+
+    def test_float32_rounding_reverses_two_rows(self):
+        # float64: a.q = 1 + 6e-8 < b.q = 1 + 6.4e-8; in float32, a's first
+        # entry rounds up a whole ulp and b's rounds down, so a screens ahead
+        table = EmbeddingTable(np.array([[1 + 6e-8, 0.0], [1 + 5.9e-8, 5e-9]]))
+        assert exact_topk(table, np.ones(2), k=1).ids.tolist() == [1]
+        assert exact_topk(table, np.ones(2), k=2).ids.tolist() == [1, 0]
+        # the same rounding under cancellation: a.q = 6e-8 < b.q = 6.4e-8,
+        # but a screens at 2**-23, twice b's score
+        table = EmbeddingTable(np.array([[1 + 6e-8, -1.0], [6.4e-8, 0.0]]))
+        assert exact_topk(table, np.ones(2), k=1).ids.tolist() == [1]
+
+    def test_extreme_magnitudes_and_mixed_norms(self):
+        rng = np.random.default_rng(7)
+        # two 1e-300 entries multiply to 0 in float64, so every row scores 0
+        # and ranks by id, while the scaled float32 screen still tells them apart
+        tiny = rng.normal(size=(30, 4)) * 1e-300
+        assert exact_topk(EmbeddingTable(tiny), tiny[0], k=5).ids.tolist() == [0, 1, 2, 3, 4]
+        # 1e154 is about the largest entry whose square stays finite; the
+        # table refuses rows of 1e300
+        vectors = np.vstack([
+            rng.normal(size=(20, 4)) * 1e150,
+            rng.normal(size=(20, 4)),
+            rng.normal(size=(20, 4)) * 1e-300,
+            [[1e154, 0, 0, 0], [0, -1e-300, 0, 0], [0, 0, 0, 0]],
+        ])
+        table = EmbeddingTable(vectors)
+        for scale in (1e150, 1.0, 1e-300, 0.0):
+            q = rng.normal(size=4) * scale
+            exclude = set(rng.integers(0, len(vectors), size=10).tolist())
+            for k in (1, 5, 25, 45, len(vectors)):
+                got = exact_topk(table, q, k=k, exclude=exclude)
+                assert got.ids.tolist() == ranked(vectors, q, k, exclude)
+
+    def test_all_equal_rows_and_half_integer_ties(self):
+        table = EmbeddingTable(np.ones((6, 3)))
+        for k in range(1, 7):
+            assert exact_topk(table, np.ones(3), k=k).ids.tolist() == list(range(k))
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            vectors = rng.integers(-2, 3, size=(40, 3)) * 0.5
+            q = rng.integers(-2, 3, size=3) * 0.5
+            exclude = set(rng.integers(0, 40, size=5).tolist())
+            k = int(rng.integers(1, 41))
+            got = exact_topk(EmbeddingTable(vectors), q, k=k, exclude=exclude)
+            assert got.ids.tolist() == ranked(vectors, q, k, exclude)
+        # both rows score 2**-30 in float64; row 0 screens at 0 in float32
+        # (its 1 + 2**-30 rounds to 1), row 1 at 2**-30, so the tie to the
+        # smaller id needs the band below row 1's screen score
+        table = EmbeddingTable(np.array([[1 + 2.0**-30, -1.0], [2.0**-30, 0.0]]))
+        assert exact_topk(table, np.ones(2), k=1).ids.tolist() == [0]
+
+    def test_repeated_exclusions_and_fewer_than_k_kept(self):
+        # rows 0 and 1 are the cancellation pair of the reversal test
+        table = EmbeddingTable(np.array([[1 + 6e-8, -1.0], [6.4e-8, 0.0], [0.5, 0.5]]))
+        q = np.ones(2)
+        got = exact_topk(table, q, k=1, exclude=[2, 2])
+        assert got.ids.tolist() == [1] and not got.truncated
+        got = exact_topk(table, q, k=3, exclude=[1, 1])
+        assert got.ids.tolist() == [2, 0] and got.truncated
+        got = exact_topk(table, q, k=1, exclude=[0, 1, 2, 1])
+        assert got.ids.tolist() == [] and got.truncated
+        block = exact_topk_block(table, np.ones((3, 2)), 2, ([2, 2, 4], [2, 2, 1, 1, 0, 1, 2, 1]))
+        assert [r.ids.tolist() for r in block] == [[1, 0], [2, 0], []]
+        assert [r.truncated for r in block] == [False, False, True]
+
+    def test_near_ties_match_the_float64_ranking(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n, d = int(rng.integers(2, 150)), int(rng.integers(1, 9))
+            base = rng.normal(size=d)
+            # perturbations well below float32's resolution, plus exact copies
+            vectors = base + rng.normal(size=(n, d)) * 10.0 ** rng.integers(-12, -5)
+            vectors[rng.random(n) < 0.1] = base
+            # a query nearly orthogonal to the rows makes every score a
+            # cancellation, whose float32 error dwarfs the score itself
+            q = rng.normal(size=d)
+            q -= (q @ base) / (base @ base) * base * (1 - 1e-3 * rng.random())
+            exclude = set(np.flatnonzero(rng.random(n) < 0.2).tolist())
+            k = int(rng.integers(1, n + 1))
+            got = exact_topk(EmbeddingTable(vectors), q, k=k, exclude=exclude)
+            assert got.ids.tolist() == ranked(vectors, q, k, exclude)
+        # the k best rows share one chunk of the k-th score's lower bound
+        # (columns j, j + 10, j + 20 at 80 rows and k = 3), so the bound is loose
+        vectors = rng.normal(size=(80, 4)) * 1e-3
+        vectors[[0, 10, 20]] = [1.0, 0, 0, 0]
+        vectors[10, 1] = 1e-9
+        assert exact_topk(EmbeddingTable(vectors), [1.0, 1.0, 0, 0], k=3).ids.tolist() == [10, 0, 20]
+
+    def test_answers_do_not_depend_on_shortlist_or_block(self, monkeypatch):
+        import graphebr.index as gi
+
+        rng = np.random.default_rng(12)
+        table = EmbeddingTable(rng.normal(size=(60, 5)))
+        q = rng.normal(size=5)
+        full = exact_topk(table, q, k=60)
+        score_of = dict(zip(full.ids.tolist(), full.scores.tolist()))
+        for k in range(1, 61, 7):
+            got = exact_topk(table, q, k=k)
+            assert got.scores.tobytes() == np.array([score_of[i] for i in got.ids.tolist()]).tobytes()
+        queries = rng.normal(size=(23, 5))
+        counts = rng.integers(0, 8, size=23)
+        ids = rng.integers(0, 60, size=int(counts.sum()))
+        starts = np.cumsum(counts) - counts
+        want = [exact_topk(table, qv, k=7, exclude=ids[s : s + c]) for qv, s, c in zip(queries, starts, counts)]
+        for entries in (1, 60 * 4, 60 * 23, 1 << 19):
+            monkeypatch.setattr(gi, "_SCREEN_ENTRIES", entries)
+            got = exact_topk_block(table, queries, 7, (counts, ids))
+            for a, b in zip(got, want, strict=True):
+                assert a.ids.tobytes() == b.ids.tobytes() and a.scores.tobytes() == b.scores.tobytes()
+                assert a.truncated == b.truncated
+
+    def test_block_arguments_validated(self):
+        table = EmbeddingTable(np.ones((4, 2)))
+        with pytest.raises(ValidationError, match="k must be >= 1"):
+            exact_topk_block(table, np.ones((2, 2)), 0)
+        with pytest.raises(ShapeError):
+            exact_topk_block(table, np.ones((2, 3)), 1)
+        with pytest.raises(ValidationError, match="squared norm"):
+            exact_topk_block(table, np.array([[1e200, 0.0]]), 1)
+        for counts, ids in (([1], [0]), ([1, 2], [0]), ([-1, 2], [0]), ([1, 0], [4])):
+            with pytest.raises(ValidationError, match="topk: ex"):
+                exact_topk_block(table, np.ones((2, 2)), 1, (counts, ids))
+
+    def test_rows_are_read_only_and_a_writeable_input_is_copied(self, tmp_path):
+        rows = np.random.default_rng(13).normal(size=(5, 3))
+        table = EmbeddingTable(rows)
+        with pytest.raises(ValueError):
+            table.vectors[0, 0] = 1.0
+        rows[0, 0] = 99.0
+        assert table.vectors[0, 0] != 99.0
+        frozen = rows.copy()
+        frozen.flags.writeable = False
+        assert EmbeddingTable(frozen).vectors is frozen
+        path = tmp_path / "table.txt"
+        save_table(table, path)
+        save_index(build_ann_index(table, m_conn=2), tmp_path / "index.npz")
+        for loaded in (load_table(path).vectors, load_index(tmp_path / "index.npz").vectors):
+            assert not loaded.flags.writeable
 
 
 class TestAnnBuild:
@@ -721,23 +895,37 @@ class TestPinnedIndex:
         if name == "many_layers":
             assert len(index.layers) >= 3
 
-    def test_answers_are_bitwise_pinned_and_short_beams_fall_back_to_exact(self):
+    @staticmethod
+    def pinned_answers():
+        """(query, ann answer, exact answer) for 60 queries of the 300x8
+        build, each excluding its query's nearest rows so some beams run
+        short."""
         table = EmbeddingTable(unit_rows(300, 8, seed=3))
         index = build_ann_index(table, m_conn=8, ef_construction=40, rng_seed=5)
         rng = np.random.default_rng(40)
-        digest = hashlib.sha256()
         for i in range(60):
             q = table.vectors[i] if i % 2 else rng.normal(size=8)
-            # exclude the query's nearest rows, so some beams run short
             exclude = set(exact_topk(table, q, k=(5 * i) % 31 + 1).ids.tolist())
-            got = ann_topk(index, q, k=10, ef_search=32, exclude=exclude)
+            yield i, q, ann_topk(index, q, k=10, ef_search=32, exclude=exclude), \
+                exact_topk(table, q, k=10, exclude=exclude), table
+
+    def test_answer_ids_are_pinned_and_short_beams_fall_back_to_exact(self):
+        # sha256 of every answer's ids and truncated flag, recorded before
+        # answers were re-scored by _row_scores: the ids must not move
+        digest = hashlib.sha256()
+        for i, _, got, want, _ in self.pinned_answers():
             if i in SHORT_IN_BEAM:
-                want = exact_topk(table, q, k=10, exclude=exclude)
                 assert got.ids.tobytes() == want.ids.tobytes()
                 assert got.scores.tobytes() == want.scores.tobytes()
                 assert not got.truncated
-                continue
             digest.update(got.ids.tobytes())
-            digest.update(got.scores.tobytes())
             digest.update(bytes([got.truncated]))
-        assert digest.hexdigest() == "30d87b64250c96f93c234975af1bc110291960c62fe4cd77332aa6132604fed1"
+        assert digest.hexdigest() == "4a4f64c633b1b9e3221767f6c33a30a89e63d3211abb30c95f3a952bb0a75c09"
+
+    def test_answer_scores_are_the_row_scores(self):
+        import graphebr.index as gi
+
+        for _, q, got, _, table in self.pinned_answers():
+            want = gi._row_scores(table.vectors, got.ids, q[None], np.zeros(len(got.ids), dtype=np.intp))
+            assert got.scores.tobytes() == want.tobytes()
+            assert np.array_equal(np.lexsort((got.ids, -want)), np.arange(len(want)))
