@@ -3,7 +3,8 @@
 Subcommands cover the full workflow: `synth` writes a synthetic graph,
 `train` runs an experiment described by a JSON run config, `embed`
 exports an embedding table from a checkpoint, `index` builds the
-approximate-search structure, `retrieve` answers queries from a file,
+approximate-search structure, `retrieve` answers queries from a file
+of node ids, one per line (read by `graph.read_rows`, as every text file),
 `eval` scores held-out edges, `compare` diffs two evaluation reports,
 and `gradcheck` runs the finite-difference suite.
 
@@ -35,7 +36,7 @@ from .evaluation import (
     save_report,
     split_edges,
 )
-from .graph import GraphStore, generate_synthetic_graph, load_graph, save_graph
+from .graph import GraphStore, generate_synthetic_graph, load_graph, read_rows, save_graph
 from .index import (
     ann_topk,
     build_ann_index,
@@ -156,18 +157,7 @@ def _emit(text: str, output) -> None:
 
 
 def _read_queries(path) -> list:
-    ids = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                ids.append(int(text))
-            except ValueError:
-                raise ValidationError(
-                    f"{path}:{lineno}: expected one integer node id per line"
-                ) from None
+    ids = read_rows(path, Path(path).read_bytes(), np.int64, 1).ravel().tolist()
     if not ids:
         raise ValidationError(f"{path}: no query ids found")
     return ids

@@ -15,12 +15,13 @@ class ValidationError(ValueError):
 
 
 class GraphParseError(ValidationError):
-    """A graph or feature file is malformed at a specific line."""
+    """A text file (edges, features, an embedding table or a query list)
+    is malformed at a specific line; the text reads `PATH: line N: ...`."""
 
     def __init__(self, path, line_number, message):
         self.path = str(path)
         self.line_number = int(line_number)
-        super().__init__(f"{path}:{line_number}: {message}")
+        super().__init__(f"{path}: line {line_number}: {message}")
 
 
 class ShapeError(ValidationError):

@@ -88,10 +88,10 @@ class GraphEmbeddingRetriever:
         """Embedding matrix of the fitted graph, or of a new graph with the
         same feature dimensionality (the encoder is inductive)."""
         self._require_fitted()
-        if graph is None:
-            return self.table_.vectors.copy()
-        cfg = self.config_
-        return export_embeddings(self.result_.params, graph, k=cfg.k, fanout=cfg.fanout).vectors
+        table = self.table_
+        if graph is not None:
+            table = export_embeddings(self.result_.params, graph, k=self.config_.k, fanout=self.config_.fanout)
+        return table.vectors.copy()
 
     def fit_transform(self, graph: GraphStore, y=None) -> np.ndarray:
         return self.fit(graph, y).transform()

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import warnings
+from itertools import islice
+from pathlib import Path
 
 import numpy as np
 
@@ -73,72 +76,90 @@ class GraphStore:
 def load_graph(edge_list_path, features_path) -> GraphStore:
     """Read a graph from an edge-list file and a node-feature file.
 
-    The edge file holds one whitespace-separated `u v` pair per line; the
-    feature file holds one row of decimal reals per node. Lines that are
-    blank or start with `#` are skipped in both files.
+    The edge file holds one whitespace-separated `u v` pair of node ids per
+    line; the feature file holds one row of decimal reals per node, every
+    row as wide as the first. Both are text files as `read_rows` reads
+    them, and every fault, a node id out of range or a non-finite feature
+    included, is one GraphParseError that names the file and the line.
     """
-    features = _read_features(features_path)
+    feature_data = Path(features_path).read_bytes()
+    features = read_rows(features_path, feature_data, np.float64)
+    if not features.size:
+        raise ValidationError(f"{features_path}: feature file is empty")
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise GraphParseError(features_path, row_line(feature_data, np.argmin(finite)), "non-finite feature value")
     n = features.shape[0]
-    edges = []
-    with open(edge_list_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            tokens = text.split()
-            if len(tokens) != 2:
-                raise GraphParseError(
-                    edge_list_path, lineno, f"expected 2 tokens, got {len(tokens)}"
-                )
-            try:
-                u, v = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise GraphParseError(
-                    edge_list_path, lineno, f"non-integer node id in {text!r}"
-                ) from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValidationError(
-                    f"{edge_list_path}:{lineno}: node id out of range [0, {n})"
-                )
-            edges.append((u, v))
-    return GraphStore(features, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+    edge_data = Path(edge_list_path).read_bytes()
+    edges = read_rows(edge_list_path, edge_data, np.int64, 2)
+    inside = ((edges >= 0) & (edges < n)).all(axis=1)
+    if not inside.all():
+        raise GraphParseError(edge_list_path, row_line(edge_data, np.argmin(inside)), f"node id out of range [0, {n})")
+    return GraphStore(features, edges)
 
 
-def _read_features(path) -> np.ndarray:
-    rows = []
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            tokens = text.split()
-            if width is None:
-                width = len(tokens)
-            elif len(tokens) != width:
-                raise GraphParseError(
-                    path, lineno, f"expected {width} values, got {len(tokens)}"
-                )
-            try:
-                row = [float(t) for t in tokens]
-            except ValueError:
-                raise GraphParseError(path, lineno, "non-numeric feature value") from None
-            if not all(np.isfinite(row)):
-                raise ValidationError(f"{path}:{lineno}: non-finite feature value")
-            rows.append(row)
-    if not rows:
-        raise ValidationError(f"{path}: feature file is empty")
-    return np.asarray(rows, dtype=np.float64)
+def _lines(path, data: bytes, first_line: int) -> list:
+    """`data` decoded and split at `\n`, `\r\n` or `\r`, as text mode splits."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        lineno = first_line + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise GraphParseError(path, lineno, "undecodable bytes") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def _data_lines(lines, first_line: int):
+    """(line number, tokens) of each line that holds a row; blank lines and
+    `#` comments, whole-line or trailing, are skipped as np.loadtxt skips them."""
+    for lineno, line in enumerate(lines, start=first_line):
+        tokens = line.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, tokens
+
+
+def row_line(data: bytes, row: int, first_line: int = 1) -> int:
+    """The line number of row `row`, counted from 0, of text that read_rows read."""
+    return next(islice(_data_lines(_lines(None, data, first_line), first_line), int(row), None))[0]
+
+
+def read_rows(path, data: bytes, dtype, width=None, first_line=1) -> np.ndarray:
+    """The rows of a text file's `data` as a (rows, width) `dtype` matrix.
+
+    A row is one line of whitespace-separated numbers; `#` starts a comment
+    anywhere on a line, blank lines are skipped, and the first line of
+    `data` is line `first_line` of the file. `width` None takes the first
+    row's width. np.loadtxt reads the rows, with every warning an error;
+    when it cannot, one pass parses each token with int() or float() or
+    raises one GraphParseError naming the first bad line: undecodable
+    bytes, the wrong width, or a token that does not parse.
+    """
+    lines = _lines(path, data, first_line)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty file, or numpy 1.x casting 1.0 to an integer
+            rows = np.loadtxt(lines, dtype=dtype, ndmin=2)
+        if width in (None, rows.shape[1]):
+            return rows
+    except (ValueError, Warning):  # a token that is not a number, a ragged row, no rows
+        pass
+    parse, kind = (int, "integer") if np.dtype(dtype).kind == "i" else (float, "numeric")
+    parsed = []
+    for lineno, tokens in _data_lines(lines, first_line):
+        width = width or len(tokens)
+        if len(tokens) != width:
+            raise GraphParseError(path, lineno, f"expected {width} values, got {len(tokens)}")
+        try:
+            parsed.append(np.array([parse(t) for t in tokens], dtype))
+        except (ValueError, OverflowError):
+            raise GraphParseError(path, lineno, f"non-{kind} value in {' '.join(tokens)!r}") from None
+    return np.array(parsed, dtype).reshape(len(parsed), width or 0)
 
 
 def save_graph(graph: GraphStore, edge_list_path, features_path) -> None:
     """Write a graph in the format accepted by load_graph."""
-    with open(edge_list_path, "w", encoding="utf-8") as fh:
-        for u, v in graph.undirected_edges():
-            fh.write(f"{u} {v}\n")
-    with open(features_path, "w", encoding="utf-8") as fh:
-        for row in graph.features:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+    np.savetxt(edge_list_path, graph.undirected_edges(), fmt="%d")
+    np.savetxt(features_path, graph.features, fmt="%.17g")
 
 
 def generate_synthetic_graph(

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import warnings
 import zipfile
 import zlib
 from dataclasses import dataclass
@@ -27,9 +26,9 @@ from functools import cached_property
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ShapeError, ValidationError, integer_array, require_seed
+from .errors import GraphParseError, ShapeError, ValidationError, integer_array, require_seed
 from .gat import EncoderParams, encode
-from .graph import GraphStore
+from .graph import GraphStore, read_rows, row_line
 # Export samples through merge_examples and never calls khop_subgraph; the
 # name stays importable because benchmarks/ traces index.khop_subgraph.
 from .sampling import khop_subgraph, merge_examples  # noqa: F401
@@ -134,50 +133,16 @@ def save_table(table: EmbeddingTable, path, binary: bool = False):
             np.array([table.num_nodes, table.dim], dtype="<i8").tofile(fh)
             table.vectors.astype("<f8").tofile(fh)
         return
-    with open(path, "w") as fh:
-        fh.write(f"{table.num_nodes} {table.dim}\n")
-        for row in table.vectors:
-            fh.write(" ".join(format(v, ".17g") for v in row) + "\n")
-
-
-def _data_lines(lines):
-    """(line number, tokens) of each row line of a text table's body, whose
-    first line is the file's line 2; blank lines and `#` comments are
-    skipped, as np.loadtxt skips them."""
-    for lineno, line in enumerate(lines, start=2):
-        tokens = line.split("#", 1)[0].split()
-        if tokens:
-            yield lineno, tokens
-
-
-def _text_rows(path, lines, dim: int) -> np.ndarray:
-    """A text table's body as a (rows, dim) matrix. np.loadtxt reads it;
-    when it cannot, a Python pass finds the first bad line and names it."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a body without rows is one
-            rows = np.loadtxt(lines, ndmin=2)
-        if rows.shape[1] == dim or not rows.size:
-            return rows.reshape(-1, dim)
-    except ValueError:  # a token that is not a number, or a ragged row
-        pass
-    parsed = []
-    for lineno, tokens in _data_lines(lines):
-        if len(tokens) != dim:
-            raise ValidationError(f"embedding table {path}: line {lineno}: expected {dim} values, got {len(tokens)}")
-        try:
-            parsed.append([float(t) for t in tokens])
-        except ValueError:
-            raise ValidationError(f"embedding table {path}: line {lineno}: non-numeric value in {' '.join(tokens)!r}") from None
-    return np.array(parsed, dtype=np.float64).reshape(-1, dim)
+    np.savetxt(path, table.vectors, fmt="%.17g", header=f"{table.num_nodes} {table.dim}", comments="")
 
 
 def load_table(path) -> EmbeddingTable:
     """Read either table format; binary is sniffed by its null header bytes.
 
     A text table is a `num_nodes dim` line, then one row of dim numbers per
-    line. Any fault in it is one ValidationError that names the file and
-    the line, counted from 1 at the header, as the graph parsers count.
+    line, read by `read_rows`. Any fault in it is one ValidationError that
+    names the file and the line, counted from 1 at the header, as the graph
+    parsers count.
     """
     with open(path, "rb") as fh:
         head = fh.read(16)
@@ -193,7 +158,7 @@ def load_table(path) -> EmbeddingTable:
         flat.flags.writeable = False
         return EmbeddingTable(flat.reshape(num_nodes, dim))
     with open(path, "rb") as fh:
-        header, _, body = fh.read().partition(b"\n")
+        header, _, body = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n").partition(b"\n")
     try:
         num_nodes, dim = map(int, header.decode("utf-8").split())
     except (UnicodeDecodeError, ValueError):  # not two integers, or undecodable bytes
@@ -201,17 +166,15 @@ def load_table(path) -> EmbeddingTable:
     if num_nodes < 0 or dim < 1:
         raise ValidationError(f"embedding table {path}: line 1: malformed header")
     try:
-        lines = body.decode("utf-8").split("\n")
-    except UnicodeDecodeError as exc:
-        lineno = 2 + body.count(b"\n", 0, exc.start)
-        raise ValidationError(f"embedding table {path}: line {lineno}: undecodable bytes") from None
-    rows = _text_rows(path, lines, dim)
+        rows = read_rows(path, body, np.float64, dim, first_line=2)
+    except GraphParseError as err:
+        raise ValidationError(f"embedding table {err}") from None
     if len(rows) != num_nodes:
         raise ValidationError(f"embedding table {path}: line 1: header says {num_nodes} rows, found {len(rows)}")
     with np.errstate(over="ignore", invalid="ignore"):
         finite = np.isfinite(np.einsum("ij,ij->i", rows, rows))
     if not finite.all():
-        lineno = [n for n, _ in _data_lines(lines)][np.argmin(finite)]
+        lineno = row_line(body, np.argmin(finite), first_line=2)
         raise ValidationError(f"embedding table {path}: line {lineno}: non-finite values or squared norm")
     rows.flags.writeable = False
     return EmbeddingTable(rows)

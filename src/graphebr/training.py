@@ -53,8 +53,6 @@ from .sampling import (
 
 TASKS = ("retrieval", "cca", "mae")
 
-METRIC_FIELDS = ("step", "retrieval", "cca", "mae", "combined", "wall_ms")
-
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8

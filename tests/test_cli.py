@@ -425,6 +425,31 @@ class TestEmbedIndexRetrieve:
                          "--queries", str(queries), "--k", "3"]) == 1
         assert_single_error_line(capsys)
 
+    def test_query_file_reads_inline_comments_and_any_line_end(self, tmp_path, capsys):
+        table_path = self.pipeline(tmp_path, capsys)
+        queries = tmp_path / "queries.txt"
+        outputs = []
+        for data in (b"0\n5\n17\n", b"0  # note\n5#x\n\n17\n", b"0\r\n5\r\n17\r\n", b"0\r5\r# c\r17"):
+            queries.write_bytes(data)
+            assert cli_main(["retrieve", "--table", table_path, "--queries", str(queries), "--k", "3"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert len(outputs[0].splitlines()) == 9
+        assert outputs == [outputs[0]] * 4
+
+    @pytest.mark.parametrize("data, named", [
+        (b"0\n# c\n\xff\n", "line 3: undecodable bytes"),
+        (b"0\r\n1 2\r\n", "line 2: expected 1 values, got 2"),
+        (b"0\r1.0\r", "line 2: non-integer value in '1.0'"),
+    ])
+    def test_bad_query_file_names_the_line(self, tmp_path, capsys, data, named):
+        # an undecodable byte used to escape as a bare UnicodeDecodeError
+        table = tmp_path / "table.txt"
+        save_table(EmbeddingTable(np.eye(3)), table)
+        queries = tmp_path / "queries.txt"
+        queries.write_bytes(data)
+        assert cli_main(["retrieve", "--table", str(table), "--queries", str(queries)]) == 1
+        assert capsys.readouterr().err == f"error: {queries}: {named}\n"
+
     @pytest.mark.parametrize("body", ["1 2\n3 x\n", "1 2\n3\n"])
     def test_bad_table_body_exits_one_naming_the_file(self, tmp_path, capsys, body):
         table = tmp_path / "table.txt"

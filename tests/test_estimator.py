@@ -82,6 +82,14 @@ class TestTransform:
         other = small_graph(seed=1)
         assert est.transform(other).shape == (other.num_nodes, 8)
 
+    def test_both_forms_return_a_writeable_copy(self):
+        # transform(graph) used to hand out the exported table's read-only rows
+        graph = small_graph()
+        est = small_estimator().fit(graph)
+        for out in (est.transform(), est.transform(graph)):
+            out[0, 0] = 123.0
+        np.testing.assert_array_equal(est.transform(graph), est.table_.vectors)
+
     def test_feature_dim_mismatch_rejected(self):
         est = small_estimator().fit(small_graph())
         bad = generate_synthetic_graph(20, 2, 0.2, 0.05, 9, 0.0, rng_seed=2)

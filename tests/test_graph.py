@@ -73,6 +73,60 @@ class TestLoadGraph:
         with pytest.raises(ValidationError):
             load_graph(e, f)
 
+    @pytest.mark.parametrize("bad, newline", [("e.txt", b"\n"), ("f.txt", b"\r\n"), ("f.txt", b"\r")])
+    def test_undecodable_byte_is_one_named_error(self, tmp_path, bad, newline):
+        # a bare UnicodeDecodeError used to name neither the file nor the line
+        e = write(tmp_path / "e.txt", "0 1\n")
+        f = write(tmp_path / "f.txt", "1 0\n0 1\n")
+        (tmp_path / bad).write_bytes(newline.join([b"0 1", b"# ok", b"1 \xff", b""]))
+        with pytest.raises(GraphParseError) as err:
+            load_graph(e, f)
+        assert err.value.line_number == 3
+        assert str(err.value) == f"{tmp_path / bad}: line 3: undecodable bytes"
+
+    def test_inline_comments_are_skipped(self, tmp_path):
+        e = write(tmp_path / "e.txt", "0 1  # note\n1 2#x\n")
+        f = write(tmp_path / "f.txt", "1 0 # first\n0 1\n2 2  # last\n")
+        g = load_graph(e, f)
+        assert g.undirected_edges().tolist() == [[0, 1], [1, 2]]
+        assert g.features.tolist() == [[1, 0], [0, 1], [2, 2]]
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_cr_files_read_as_lf(self, tmp_path, newline):
+        edges, features = "# e\n0 1\n\n2 1\n", "1.5 0\n0 -2\n# f\n3 1e-3\n"
+        want = load_graph(write(tmp_path / "e.txt", edges), write(tmp_path / "f.txt", features))
+        for name, text in (("e2.txt", edges), ("f2.txt", features)):
+            (tmp_path / name).write_bytes(text.replace("\n", newline).encode())
+        got = load_graph(tmp_path / "e2.txt", tmp_path / "f2.txt")
+        assert got.fingerprint() == want.fingerprint()
+        # a bad line is counted the same way in every convention
+        (tmp_path / "e2.txt").write_bytes(newline.join(["0 1", "", "1 x"]).encode())
+        with pytest.raises(GraphParseError) as err:
+            load_graph(tmp_path / "e2.txt", tmp_path / "f2.txt")
+        assert err.value.line_number == 3
+
+    def test_float_node_id_refused_with_its_line(self, tmp_path):
+        # numpy 1.x np.loadtxt reads 1.0 as an integer and only warns
+        e = write(tmp_path / "e.txt", "0 1\n# c\n1.0 2\n")
+        f = write(tmp_path / "f.txt", "1\n2\n3\n")
+        with pytest.raises(GraphParseError) as err:
+            load_graph(e, f)
+        assert err.value.line_number == 3 and "'1.0 2'" in str(err.value)
+
+    def test_underscored_node_id_is_read_as_python_reads_it(self, tmp_path):
+        e = write(tmp_path / "e.txt", "0 1_0\n")
+        f = write(tmp_path / "f.txt", "".join(f"{i}\n" for i in range(11)))
+        assert load_graph(e, f).undirected_edges().tolist() == [[0, 10]]
+
+    def test_range_and_finiteness_errors_name_their_line(self, tmp_path):
+        e = write(tmp_path / "e.txt", "0 1\n\n1 7  # far\n")
+        f = write(tmp_path / "f.txt", "1\n2\n")
+        with pytest.raises(GraphParseError, match=r": line 3: node id out of range \[0, 2\)$"):
+            load_graph(e, f)
+        write(tmp_path / "f.txt", "1\n# c\ninf\n")
+        with pytest.raises(GraphParseError, match=": line 3: non-finite feature value$"):
+            load_graph(e, f)
+
 
 def reference_adjacency(num_nodes, edges):
     """Sorted unique u < v pairs and per-node neighbour lists, the slow way."""
@@ -124,9 +178,9 @@ class TestGraphStore:
             for v in g.neighbors(u):
                 assert g.has_edge(v, u)
 
-    def test_save_load_roundtrip_is_identical(self, tmp_path):
-        rng = np.random.default_rng(0)
-        g = generate_synthetic_graph(60, 3, 0.2, 0.02, 5, 0.1, rng_seed=7)
+    @pytest.mark.parametrize("num_nodes", [60, 2000])
+    def test_save_load_roundtrip_is_identical(self, tmp_path, num_nodes):
+        g = generate_synthetic_graph(num_nodes, 3, 12 / num_nodes, 1.2 / num_nodes, 5, 0.1, rng_seed=7)
         save_graph(g, tmp_path / "e.txt", tmp_path / "f.txt")
         g2 = load_graph(tmp_path / "e.txt", tmp_path / "f.txt")
         assert g.fingerprint() == g2.fingerprint()

@@ -217,6 +217,19 @@ class TestTableSerialization:
         path.write_text("2 2\n# two rows\n1 2\n\n3 4  # last\n")
         assert load_table(path).vectors.tolist() == [[1, 2], [3, 4]]
 
+    def test_text_table_reads_any_line_end(self, tmp_path):
+        # a bare CR used to join the whole file into one malformed header line
+        table = EmbeddingTable(np.random.default_rng(3).normal(size=(4, 3)))
+        path = tmp_path / "table.txt"
+        save_table(table, path)
+        text = path.read_bytes()
+        for newline in (b"\r\n", b"\r"):
+            path.write_bytes(text.replace(b"\n", newline))
+            assert load_table(path).vectors.tobytes() == table.vectors.tobytes()
+        path.write_bytes(b"2 2\r1 2\r\r3 x\r")
+        with pytest.raises(ValidationError, match=f"^embedding table {re.escape(str(path))}: line 4: non-numeric"):
+            load_table(path)
+
     def test_bad_binary_header_rejected(self, tmp_path):
         path = tmp_path / "table.bin"
         # shorter than the 16-byte header, or a negative count: each used to
