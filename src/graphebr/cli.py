@@ -6,7 +6,9 @@ exports an embedding table from a checkpoint, `index` builds the
 approximate-search structure, `retrieve` answers queries from a file
 of node ids, one per line (read by `graph.read_rows`, as every text file),
 `eval` scores held-out edges, `compare` diffs two evaluation reports,
-and `gradcheck` runs the finite-difference suite.
+and `gradcheck` runs the finite-difference suite: every autodiff primitive,
+then each task's loss as the training step computes it, on a step whose
+encoder gradient is non-zero.
 
 Exit codes: 0 on success, 1 for validation or numeric failures (one
 `error: ...` line on stderr), 2 for usage errors.
@@ -26,7 +28,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .autodiff import primitive_gradient_suite
-from .errors import ValidationError
+from .errors import GraphParseError, ValidationError
 from .evaluation import (
     EvalSettings,
     compare_runs,
@@ -36,7 +38,7 @@ from .evaluation import (
     save_report,
     split_edges,
 )
-from .graph import GraphStore, generate_synthetic_graph, load_graph, read_rows, save_graph
+from .graph import GraphStore, generate_synthetic_graph, load_graph, read_rows, row_line, save_graph
 from .index import (
     ann_topk,
     build_ann_index,
@@ -156,10 +158,15 @@ def _emit(text: str, output) -> None:
         sys.stdout.write(text)
 
 
-def _read_queries(path) -> list:
-    ids = read_rows(path, Path(path).read_bytes(), np.int64, 1).ravel().tolist()
-    if not ids:
+def _read_queries(path, num_nodes: int) -> np.ndarray:
+    data = Path(path).read_bytes()
+    ids = read_rows(path, data, np.int64, 1).ravel()
+    if not ids.size:
         raise ValidationError(f"{path}: no query ids found")
+    inside = (ids >= 0) & (ids < num_nodes)
+    if not inside.all():
+        row = np.argmin(inside)
+        raise GraphParseError(path, row_line(data, row), f"query id {ids[row]} out of range [0, {num_nodes})")
     return ids
 
 
@@ -229,23 +236,19 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
-    queries = _read_queries(args.queries)
     index = None if args.table else load_index(args.index)
     table = load_table(args.table) if args.table else index.table
-    bad = [q for q in queries if not 0 <= q < table.num_nodes]
-    if bad:
-        raise ValidationError(f"retrieve: query ids out of range: {bad[:5]}")
+    ids = _read_queries(args.queries, table.num_nodes)
     if index is None:
         # each query excludes itself
-        ids = np.array(queries, dtype=np.int64)
         results = exact_topk_block(table, table.vectors[ids], args.k, (np.ones(len(ids), dtype=np.int64), ids))
     else:
         results = [
             ann_topk(index, table.vectors[q], k=args.k, ef_search=max(args.ef_search, args.k), exclude={q})
-            for q in queries
+            for q in ids
         ]
     lines = []
-    for q, result in zip(queries, results):
+    for q, result in zip(ids, results):
         for rank, (cand, score) in enumerate(zip(result.ids, result.scores), start=1):
             lines.append(f"{q} {int(cand)} {rank} {float(score):.17g}")
     _emit("\n".join(lines) + "\n", args.output)

@@ -1,11 +1,11 @@
-"""Exception taxonomy shared across the package, the integer-field check
+"""Exception taxonomy shared across the package, the field-type check
 that the config dataclasses share, the node-id array check, and the
 generator-seed check."""
 
 import numbers
 import operator
-from dataclasses import fields
-from typing import get_args, get_type_hints
+from dataclasses import fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -70,13 +70,28 @@ def require_seed(value, where: str) -> None:
         raise ValidationError(f"{where}: rng_seed must be a non-negative integer, got {value!r}")
 
 
-def require_integer_fields(obj, where: str) -> None:
-    """Check every `int`, `int | None` and `tuple[int, ...]` field of a
-    dataclass instance.
+def _list_of(check):
+    return lambda value: isinstance(value, (list, tuple)) and all(map(check, value))
 
-    A value that is not an integer, such as 2.5 or True, raises one
-    ValidationError that names the field; nothing is rounded. Accepted
-    values are stored as Python ints, and a sequence as a tuple.
+
+# What a field of each annotation accepts: (what an error calls it, check)
+FIELD_TYPES = {
+    int: ("an integer", is_integer),
+    float: ("a real number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    tuple[str, ...]: ("a list of strings", _list_of(lambda v: isinstance(v, str))),
+    tuple[int, ...]: ("a list of integers", _list_of(is_integer)),
+}
+
+
+def require_field_types(obj, where: str) -> None:
+    """Check every field of a dataclass instance against its annotation: a
+    FIELD_TYPES key or a dataclass, either of them `| None`.
+
+    A wrong type (2.5 or True for an int, True or "x" for a float, a bare
+    string for a list) raises one ValidationError naming the field; nothing
+    is rounded or parsed. Integers are stored as Python ints and sequences
+    as tuples. Finiteness and range checks stay with each class.
     """
     hints = get_type_hints(type(obj))
     for f in fields(obj):
@@ -85,14 +100,14 @@ def require_integer_fields(obj, where: str) -> None:
             if value is None:
                 continue
             (hint,) = set(get_args(hint)) - {type(None)}
-        if hint is int:
-            if not is_integer(value):
-                raise ValidationError(f"{where}: {f.name} must be an integer")
-            value = operator.index(value)
-        elif hint == tuple[int, ...]:
-            if not isinstance(value, (list, tuple)) or not all(map(is_integer, value)):
-                raise ValidationError(f"{where}: {f.name} must be a list of integers")
-            value = tuple(map(operator.index, value))
+        if is_dataclass(hint):
+            kind, ok = f"a {hint.__name__}", lambda v: isinstance(v, hint)
         else:
-            continue
+            kind, ok = FIELD_TYPES[hint]
+        if not ok(value):
+            raise ValidationError(f"{where}: {f.name} must be {kind}")
+        if hint is int:
+            value = operator.index(value)
+        elif get_origin(hint) is tuple:
+            value = tuple(map(operator.index, value) if hint == tuple[int, ...] else value)
         object.__setattr__(obj, f.name, value)

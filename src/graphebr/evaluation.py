@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError, integer_array, require_integer_fields, require_seed
+from .errors import ShapeError, ValidationError, integer_array, require_field_types, require_seed
 from .graph import GraphStore
 from .index import EmbeddingTable, export_embeddings
 from .index import exact_topk  # noqa: F401  (benchmarks/workloads.py traces this name)
@@ -37,7 +37,7 @@ class EvalSettings:
     mrr_cap: int = 100
 
     def __post_init__(self):
-        require_integer_fields(self, "eval settings")
+        require_field_types(self, "eval settings")
         ks = self.k_values
         if not ks or ks[0] < 1 or list(ks) != sorted(set(ks)):
             raise ValidationError(

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import NumericError, ShapeError, ValidationError
+from .errors import NumericError, ShapeError, ValidationError, require_field_types
 
 
 @dataclass(frozen=True)
@@ -20,6 +20,7 @@ class LossWeights:
     gamma: float = 1e-3
 
     def __post_init__(self):
+        require_field_types(self, "loss weights")
         for name in ("alpha", "beta", "gamma"):
             w = getattr(self, name)
             if not (np.isfinite(w) and w >= 0):
@@ -33,6 +34,7 @@ class CcaConfig:
     lam: float = 1e-3
 
     def __post_init__(self):
+        require_field_types(self, "cca")
         if not np.isfinite(self.lam) or self.lam < 0:
             raise ValidationError("cca: lam must be finite and non-negative")
 
@@ -44,6 +46,7 @@ class MaeConfig:
     y_exponent: float = 2.0
 
     def __post_init__(self):
+        require_field_types(self, "mae")
         if not (np.isfinite(self.y_exponent) and self.y_exponent >= 1.0):
             raise ValidationError("mae: y_exponent must be finite and at least 1")
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import SkipExample, ValidationError, integer_array
+from .errors import SkipExample, ValidationError, integer_array, require_field_types
 from .graph import GraphStore
 
 
@@ -89,6 +89,7 @@ class AugmentationConfig:
     feature_drop_prob: float = 0.2
 
     def __post_init__(self):
+        require_field_types(self, "augmentation")
         for name in ("edge_drop_prob", "feature_drop_prob"):
             p = getattr(self, name)
             if not 0.0 <= p < 1.0:

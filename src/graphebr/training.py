@@ -14,23 +14,16 @@ import json
 import math
 import os
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from typing import get_args, get_type_hints
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import (
-    NumericError,
-    ShapeError,
-    SkipExample,
-    ValidationError,
-    is_integer,
-    require_integer_fields,
-)
+from .errors import FIELD_TYPES, NumericError, ShapeError, ValidationError, is_integer, require_field_types
 from .gat import EncoderParams, cca_head, encode, init_params, mae_reconstruct
-from .graph import GraphStore
+from .graph import GraphStore, generate_synthetic_graph
 from .losses import (
     CcaConfig,
     LossWeights,
@@ -47,7 +40,7 @@ from .sampling import (
     augment_feature_drop,
     mask_query_features,
     merge_examples,
-    sample_retrieval_example,  # one example, for loss_gradient_cases; steps use the batch form
+    sample_retrieval_example,  # noqa: F401  (benchmarks/workloads.py traces this name)
     sample_retrieval_examples,
 )
 
@@ -56,6 +49,9 @@ TASKS = ("retrieval", "cca", "mae")
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+
+# Steps that `gradient_case_instances` searches for a non-vacuous instance.
+_GRADIENT_CASE_STEPS = 10
 
 
 @dataclass(frozen=True)
@@ -81,8 +77,7 @@ class TrainConfig:
     projection_dim: int = 64
 
     def __post_init__(self):
-        object.__setattr__(self, "enabled_tasks", tuple(self.enabled_tasks))
-        require_integer_fields(self, "train config")
+        require_field_types(self, "train config")
         if self.steps < 1:
             raise ValidationError("train config: steps must be >= 1")
         if self.batch_size < 1:
@@ -134,21 +129,14 @@ def config_to_dict(cfg: TrainConfig) -> dict:
     return json.loads(json.dumps(asdict(cfg)))
 
 
-def _list_of(check):
-    return lambda value: isinstance(value, (list, tuple)) and all(check(x) for x in value)
-
-
 # JSON shape each annotated field accepts: (what the error calls it, check);
 # `X | None` also accepts null, and a dataclass field takes an object
 _JSON_TYPES = {
-    int: ("an integer", is_integer),
+    **FIELD_TYPES,
     float: (
         "a finite number",
         lambda v: is_integer(v) or (isinstance(v, float) and math.isfinite(v)),
     ),
-    str: ("a string", lambda v: isinstance(v, str)),
-    tuple[str, ...]: ("a list of strings", _list_of(lambda v: isinstance(v, str))),
-    tuple[int, ...]: ("a list of integers", _list_of(is_integer)),
 }
 
 
@@ -275,6 +263,53 @@ def _sample_batch(graph: GraphStore, cfg: TrainConfig, seed_stream):
     return merge_examples(graph, roots, cfg.k, cfg.fanout, context_seeds)
 
 
+def step_losses(graph: GraphStore, params: EncoderParams, cfg: TrainConfig, step_index: int):
+    """Forward pass of one step: the tape's (retrieval, cca, mae, combined)
+    loss tensors, None for an inactive task, or None when no query in the
+    sampling budget had a neighbor. Each call re-derives the step's seed
+    streams, so every call at one step index draws the same batch and views.
+    """
+    retrieval_ss, cca_ss, mae_ss = step_seed_streams(cfg.seed, step_index)
+    active = cfg.active_tasks()
+    batch = _sample_batch(graph, cfg, retrieval_ss)
+    if batch is None:
+        return None
+
+    retrieval = cca = mae = None
+    if "retrieval" in active:
+        Z = encode(params, batch)
+        retrieval = mean_retrieval_loss(
+            ad.gather_rows(Z, batch.query_locals),
+            ad.gather_rows(Z, batch.candidate_rows),
+            batch.labels,
+        )
+
+    aug = cfg.augmentation
+    if "cca" in active:
+        seed_a_edges, seed_a_feats, seed_b_edges, seed_b_feats = cca_ss.spawn(4)
+        view_a = augment_feature_drop(
+            augment_edge_drop(batch, aug.edge_drop_prob, seed_a_edges),
+            aug.feature_drop_prob, seed_a_feats,
+        )
+        view_b = augment_feature_drop(
+            augment_edge_drop(batch, aug.edge_drop_prob, seed_b_edges),
+            aug.feature_drop_prob, seed_b_feats,
+        )
+        proj_a = cca_head(params, encode(params, view_a))
+        proj_b = cca_head(params, encode(params, view_b))
+        cca = cca_loss(proj_a, proj_b, cfg.cca)
+
+    if "mae" in active:
+        (seed_edges,) = mae_ss.spawn(1)
+        dropped = augment_edge_drop(batch, aug.edge_drop_prob, seed_edges)
+        masked, originals = mask_query_features(dropped)
+        recon = mae_reconstruct(params, masked, encode(params, masked))
+        recon_queries = ad.gather_rows(recon, masked.query_locals)
+        mae = mae_loss(originals, recon_queries, cfg.mae)
+
+    return retrieval, cca, mae, combined_loss(retrieval, cca, mae, cfg.weights)
+
+
 def step_gradients(graph: GraphStore, params: EncoderParams, cfg: TrainConfig, step_index: int):
     """Forward and backward passes for one step.
 
@@ -282,46 +317,10 @@ def step_gradients(graph: GraphStore, params: EncoderParams, cfg: TrainConfig, s
     sampling budget had a neighbor to retrieve.
     """
     try:
-        retrieval_ss, cca_ss, mae_ss = step_seed_streams(cfg.seed, step_index)
-        active = cfg.active_tasks()
-        batch = _sample_batch(graph, cfg, retrieval_ss)
-        if batch is None:
+        losses = step_losses(graph, params, cfg, step_index)
+        if losses is None:
             return None
-
-        retrieval = cca = mae = None
-        if "retrieval" in active:
-            Z = encode(params, batch)
-            retrieval = mean_retrieval_loss(
-                ad.gather_rows(Z, batch.query_locals),
-                ad.gather_rows(Z, batch.candidate_rows),
-                batch.labels,
-            )
-
-        aug = cfg.augmentation
-        if "cca" in active:
-            seed_a_edges, seed_a_feats, seed_b_edges, seed_b_feats = cca_ss.spawn(4)
-            view_a = augment_feature_drop(
-                augment_edge_drop(batch, aug.edge_drop_prob, seed_a_edges),
-                aug.feature_drop_prob, seed_a_feats,
-            )
-            view_b = augment_feature_drop(
-                augment_edge_drop(batch, aug.edge_drop_prob, seed_b_edges),
-                aug.feature_drop_prob, seed_b_feats,
-            )
-            proj_a = cca_head(params, encode(params, view_a))
-            proj_b = cca_head(params, encode(params, view_b))
-            cca = cca_loss(proj_a, proj_b, cfg.cca)
-
-        if "mae" in active:
-            (seed_edges,) = mae_ss.spawn(1)
-            dropped = augment_edge_drop(batch, aug.edge_drop_prob, seed_edges)
-            masked, originals = mask_query_features(dropped)
-            recon = mae_reconstruct(params, masked, encode(params, masked))
-            recon_queries = ad.gather_rows(recon, masked.query_locals)
-            mae = mae_loss(originals, recon_queries, cfg.mae)
-
-        combined = combined_loss(retrieval, cca, mae, cfg.weights)
-        by_tensor = ad.backward(combined)
+        by_tensor = ad.backward(losses[-1])
     except NumericError as err:
         ad.active_tape().clear()
         raise NumericError(f"step {step_index}: {err}") from err
@@ -331,7 +330,7 @@ def step_gradients(graph: GraphStore, params: EncoderParams, cfg: TrainConfig, s
         g = by_tensor.get(p)
         if g is not None:
             grads[name] = g
-    return grads, make_report(retrieval, cca, mae, combined)
+    return grads, make_report(*losses)
 
 
 def train_step(graph: GraphStore, params: EncoderParams, opt: OptimizerState, cfg: TrainConfig, step_index: int):
@@ -402,14 +401,7 @@ def train(
         if report is None:
             skipped += 1
         else:
-            record = {
-                "step": step_index,
-                "retrieval": report.retrieval,
-                "cca": report.cca,
-                "mae": report.mae,
-                "combined": report.combined,
-                "wall_ms": wall_ms,
-            }
+            record = {"step": step_index, **report.to_dict(), "wall_ms": wall_ms}
             history.append(record)
             if metrics_stream is not None:
                 metrics_stream.write(json.dumps(record, sort_keys=True) + "\n")
@@ -485,67 +477,51 @@ def _require_matching_config(cfg: TrainConfig, saved: TrainConfig):
         raise ValidationError(f"resume: config differs from the checkpoint in {diff}")
 
 
-def loss_gradient_cases(seed: int = 0) -> list:
-    """Finite-difference checks of each loss through the whole encoder.
-
-    Builds one small sampled instance per task and compares reverse-mode
-    gradients with central differences over every parameter tensor,
-    including the ones each loss should ignore. Returns (name, error) pairs.
-    """
-    from .graph import generate_synthetic_graph
-
+def gradient_case_instances(seed: int = 0) -> list:
+    """(task, graph, config, params, step index) of each loss gradient check:
+    one task alone, at weight 1, on a 24-node graph with `init_model`'s
+    parameters, at the first step whose gradient is non-zero in every
+    `layer{i}.W`. A loss the encoder cannot move (say, a dead-ReLU zero
+    query row) would pass any gradient check vacuously."""
     graph = generate_synthetic_graph(
         num_nodes=24, num_communities=2, p_in=0.4, p_out=0.1,
         feature_dim=5, cold_start_fraction=0.0, rng_seed=seed,
     )
-    sub = None
-    for query in range(graph.num_nodes):
-        try:
-            sub = sample_retrieval_example(graph, query, 3, 2, 4, seed)
-            break
-        except SkipExample:
-            continue
-    if sub is None:
-        raise ValidationError("gradient cases: sampled graph has no usable query")
+    base = TrainConfig(
+        batch_size=1, k=2, fanout=4, num_negatives=3,
+        hidden_dims=(4,), embedding_dim=3, projection_dim=3,
+        cca=CcaConfig(lam=0.5), weights=LossWeights(1.0, 1.0, 1.0), seed=seed,
+    )
+    instances = []
+    for task in TASKS:
+        cfg = replace(base, enabled_tasks=(task,))
+        params = init_model(cfg, graph.feature_dim)
+        layers = [f"layer{i}.W" for i in range(len(params.layers))]
+        for step_index in range(_GRADIENT_CASE_STEPS):
+            result = step_gradients(graph, params, cfg, step_index)
+            if result is not None and all(np.any(result[0].get(name, 0.0)) for name in layers):
+                instances.append((task, graph, cfg, params, step_index))
+                break
+        else:
+            raise ValidationError(
+                f"gradient cases: no step below {_GRADIENT_CASE_STEPS} gives {task} "
+                f"a non-zero gradient in every layer at seed {seed}"
+            )
+    return instances
 
-    base = init_params([5, 4, 3], (4, 3), np.random.SeedSequence([seed, 7]))
-    names = list(base.named_parameters())
 
-    def rebuild(tensors):
-        return EncoderParams.from_named(dict(zip(names, tensors)))
+def loss_gradient_cases(seed: int = 0) -> list:
+    """Finite-difference checks of `step_losses`' combined loss, one per
+    task on `gradient_case_instances`, over every parameter tensor, the ones
+    the task should ignore included. Returns (name, error) pairs."""
+    cases = []
+    for task, graph, cfg, params, step_index in gradient_case_instances(seed):
+        names = list(params.named_parameters())
 
-    def retrieval_case(*tensors):
-        Z = encode(rebuild(tensors), sub)
-        return mean_retrieval_loss(
-            ad.gather_rows(Z, sub.query_locals),
-            ad.gather_rows(Z, sub.candidate_rows),
-            sub.labels,
-        )
+        def combined(*tensors):
+            rebuilt = EncoderParams.from_named(dict(zip(names, tensors)))
+            return step_losses(graph, rebuilt, cfg, step_index)[-1]
 
-    seeds = np.random.SeedSequence([seed, 11]).spawn(3)
-    view_a = augment_feature_drop(augment_edge_drop(sub, 0.2, seeds[0]), 0.2, seeds[1])
-    view_b = augment_edge_drop(sub, 0.2, seeds[2])
-
-    def cca_case(*tensors):
-        p = rebuild(tensors)
-        return cca_loss(
-            cca_head(p, encode(p, view_a)),
-            cca_head(p, encode(p, view_b)),
-            CcaConfig(lam=0.5),
-        )
-
-    masked, originals = mask_query_features(view_b)
-
-    def mae_case(*tensors):
-        p = rebuild(tensors)
-        recon = mae_reconstruct(p, masked, encode(p, masked))
-        return mae_loss(
-            originals, ad.gather_rows(recon, masked.query_locals), MaeConfig(2.0)
-        )
-
-    arrays = [p.data for p in base.named_parameters().values()]
-    return [
-        ("retrieval", ad.gradient_check(retrieval_case, arrays)),
-        ("cca", ad.gradient_check(cca_case, arrays)),
-        ("mae", ad.gradient_check(mae_case, arrays)),
-    ]
+        arrays = [p.data for p in params.named_parameters().values()]
+        cases.append((task, ad.gradient_check(combined, arrays)))
+    return cases

@@ -54,6 +54,7 @@ def assert_single_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.strip().count("\n") == 0
+    return err
 
 
 class TestUsageErrors:
@@ -415,11 +416,17 @@ class TestEmbedIndexRetrieve:
 
     def test_retrieve_errors(self, tmp_path, capsys):
         table_path = self.pipeline(tmp_path, capsys)
+        index_path = str(tmp_path / "index.json")
+        assert cli_main(["index", "--table", table_path, "--output", index_path,
+                         "--m-conn", "8", "--ef-construction", "40"]) == 0
+        capsys.readouterr()
         queries = tmp_path / "queries.txt"
         queries.write_text("999\n")
-        assert cli_main(["retrieve", "--table", table_path,
-                         "--queries", str(queries), "--k", "3"]) == 1
-        assert_single_error_line(capsys)
+        for source in (["--table", table_path], ["--index", index_path]):
+            assert cli_main(["retrieve", *source,
+                             "--queries", str(queries), "--k", "3"]) == 1
+            err = assert_single_error_line(capsys)
+            assert f"{queries}: line 1: query id 999 out of range [0, 40)" in err
         queries.write_text("zero\n")
         assert cli_main(["retrieve", "--table", table_path,
                          "--queries", str(queries), "--k", "3"]) == 1

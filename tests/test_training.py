@@ -9,14 +9,15 @@ import pytest
 from graphebr.errors import ShapeError, ValidationError
 from graphebr.gat import encode, init_params
 from graphebr.graph import GraphStore, generate_synthetic_graph
-from graphebr.losses import LossWeights
-from graphebr.sampling import khop_subgraph
+from graphebr.losses import CcaConfig, LossWeights
+from graphebr.sampling import AugmentationConfig, khop_subgraph
 from graphebr.training import (
     TrainConfig,
     adam_update,
     clip_gradients,
     config_from_dict,
     config_to_dict,
+    gradient_case_instances,
     init_model,
     init_optimizer,
     load_checkpoint,
@@ -145,6 +146,24 @@ class TestTrainConfig:
         cfg = small_config(hidden_dims=[np.int64(8)], seed=np.int32(4))
         assert cfg.hidden_dims == (8,) and type(cfg.hidden_dims[0]) is int
         assert type(cfg.seed) is int
+
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda: small_config(learning_rate=True),
+                     "train config: learning_rate must be a real number", id="bool-float"),
+        pytest.param(lambda: LossWeights(alpha="x"),
+                     "loss weights: alpha must be a real number", id="str-weight"),
+        pytest.param(lambda: AugmentationConfig(edge_drop_prob="x"),
+                     "augmentation: edge_drop_prob must be a real number", id="str-probability"),
+        pytest.param(lambda: CcaConfig(lam=None),
+                     "cca: lam must be a real number", id="none-lam"),
+        pytest.param(lambda: small_config(weights={"alpha": 1.0}),
+                     "train config: weights must be a LossWeights", id="dict-block"),
+        pytest.param(lambda: small_config(enabled_tasks="retrieval"),
+                     "train config: enabled_tasks must be a list of strings", id="bare-string-list"),
+    ])
+    def test_python_callers_get_the_json_loaders_type_checks(self, make, message):
+        with pytest.raises(ValidationError, match=message):
+            make()
 
     def test_integer_learning_rate_and_null_fanout_accepted(self):
         raw = {**config_to_dict(small_config()), "learning_rate": 1, "fanout": None}
@@ -413,3 +432,12 @@ class TestLossGradientCases:
         assert [name for name, _ in cases] == ["retrieval", "cca", "mae"]
         for name, err in cases:
             assert err < 1e-4, f"{name}: {err}"
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_every_instance_has_a_gradient_in_every_encoder_layer(self, seed):
+        # a loss the encoder cannot move passes any gradient check vacuously
+        for task, graph, cfg, params, step_index in gradient_case_instances(seed):
+            assert cfg.active_tasks() == (task,)
+            grads, _ = step_gradients(graph, params, cfg, step_index)
+            for i in range(len(params.layers)):
+                assert np.any(grads[f"layer{i}.W"]), f"{task}: layer{i}.W is all zero"
